@@ -1,15 +1,21 @@
-"""Public FusedMM entry points.
+"""Public FusedMM entry points and the one backend dispatcher.
 
 Two levels of API are provided:
 
 * :func:`fusedmm` — one-shot functional call ``Z = fusedmm(A, X, Y,
   pattern=...)`` with backend selection, matching the paper's
   ``Z = FusedMM(A, X, Y)`` formulation (Fig. 2).
-* :class:`FusedMM` — a planned/reusable kernel object: the pattern is
-  resolved once, the partitioning and (optionally) the autotuned block
-  size are computed once, and every subsequent ``__call__`` reuses them.
-  This is the shape of API an embedding training loop wants: the adjacency
-  matrix is fixed across epochs, only the feature matrices change.
+* :class:`FusedMM` — a planned/reusable kernel object: the pattern and
+  backend are resolved once, the partitioning and (optionally) the
+  autotuned block size are computed once, and every subsequent
+  ``__call__`` reuses them.  This is the shape of API an embedding
+  training loop wants: the adjacency matrix is fixed across epochs, only
+  the feature matrices change.
+
+Both, and the runtime's :class:`~repro.runtime.plan.KernelPlan`, dispatch
+through this module alone: :func:`resolve_backend` picks ``(kind,
+kernel)``, :func:`run_kernel` executes it and :func:`autotune_backend`
+pins or demotes the jit tier by a measured sweep.
 
 Backends
 --------
@@ -31,25 +37,178 @@ into shared memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import BackendError
-from ..sparse import CSRMatrix
+from ..sparse import CSRMatrix, as_csr
 from . import jit as jit_backend
 from .autotune import TuningResult, autotune
 from .codegen import compile_kernel, supports_pattern
 from .generic import fusedmm_generic
 from .optimized import DEFAULT_BLOCK_SIZE, fusedmm_optimized
-from .partition import part1d
-from .patterns import OpPattern, get_pattern
-from .specialized import get_specialized_kernel
+from .partition import RowPartition, part1d
+from .patterns import OpPattern, ResolvedPattern, get_pattern
+from .specialized import get_specialized_kernel, spmm_kernel
 
-__all__ = ["fusedmm", "FusedMM", "BACKENDS"]
+__all__ = [
+    "fusedmm",
+    "FusedMM",
+    "BACKENDS",
+    "resolve_backend",
+    "run_kernel",
+    "autotune_backend",
+]
 
 BACKENDS = ("auto", "jit", "generic", "optimized", "specialized", "generated")
+
+
+def resolve_backend(
+    resolved: ResolvedPattern, backend: str = "auto", *, allow_jit: bool = True
+) -> Tuple[str, Optional[Callable]]:
+    """Resolve ``backend`` for a pattern; returns ``(kind, kernel)``.
+
+    ``kind`` is the backend that will run — ``"jit"``, ``"specialized"``,
+    ``"generated"``, ``"optimized"`` or ``"generic"`` — and ``kernel`` the
+    concrete callable for the first three (``None`` otherwise).  An
+    explicit backend that cannot run the pattern raises
+    :class:`~repro.errors.BackendError`; ``auto`` falls through to the
+    next tier instead.  ``allow_jit=False`` skips the jit tier for
+    ``auto`` (the autotuner measured the NumPy kernels as faster).
+    """
+    if backend not in BACKENDS:
+        raise BackendError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
+    if backend == "generic":
+        return "generic", None
+    if backend == "jit" or (
+        backend == "auto"
+        and allow_jit
+        and jit_backend.jit_available()
+        and jit_backend.jit_supports_pattern(resolved)
+    ):
+        # ``auto`` only prefers the tier when numba is actually importable;
+        # an explicit backend="jit" also runs interpreted (slow but exact)
+        # so the compiled semantics stay testable everywhere.
+        return "jit", jit_backend.get_jit_kernel(resolved)
+    if backend in ("specialized", "auto"):
+        kernel = get_specialized_kernel(resolved)
+        if kernel is not None:
+            return "specialized", kernel
+        if backend == "specialized":
+            raise BackendError(
+                f"no specialized kernel exists for pattern {resolved.name!r}; "
+                "use backend='optimized' or 'auto'"
+            )
+    if backend in ("generated", "auto"):
+        if supports_pattern(resolved):
+            return "generated", compile_kernel(resolved)
+        if backend == "generated":
+            raise BackendError(
+                f"the code generator has no templates for pattern {resolved.name!r} "
+                f"(ops {resolved.op_names()}); use backend='optimized' or 'auto'"
+            )
+    return "optimized", None
+
+
+def run_kernel(
+    kind: str,
+    kernel: Optional[Callable],
+    op_pattern: OpPattern,
+    A,
+    X,
+    Y=None,
+    *,
+    backend: str = "auto",
+    block_size: Optional[int] = None,
+    strategy: str = "auto",
+    num_threads: int = 1,
+    parts: Optional[Sequence[RowPartition]] = None,
+    pool: Optional[ThreadPoolExecutor] = None,
+    out: Optional[np.ndarray] = None,
+    row_offset: int = 0,
+) -> np.ndarray:
+    """Execute a ``(kind, kernel)`` pair from :func:`resolve_backend`.
+
+    ``X=None`` is accepted for SpMM-like patterns (they ignore the source
+    features) and runs the plain ``Z = A · Y`` kernel.  ``parts``/``pool``
+    hand the caller's partition list and thread pool to the partitioned
+    kernels.  When the optimized kernels fail on an exotic user operator,
+    ``backend="auto"`` falls back to the reference kernel, which always
+    works; an explicit ``backend="optimized"`` re-raises.
+    """
+    kwargs = dict(
+        block_size=block_size or DEFAULT_BLOCK_SIZE,
+        num_threads=num_threads,
+        parts=parts,
+        pool=pool,
+        out=out,
+        row_offset=row_offset,
+    )
+    if kind == "optimized":
+        try:
+            return fusedmm_optimized(
+                A, X, Y, pattern=op_pattern, strategy=strategy, **kwargs
+            )
+        except Exception:
+            if backend == "optimized":
+                raise
+    elif kind != "generic":
+        if X is None and kind != "jit":
+            # The jit kernels take X=None themselves; the specialized and
+            # generated ones hand SpMM-like patterns to the plain A·Y kernel.
+            if not op_pattern.resolved().is_spmm_like:
+                raise BackendError(
+                    f"pattern {op_pattern.name!r} needs source features X"
+                )
+            return spmm_kernel(A, Y, **kwargs)
+        return kernel(A, X, Y, **kwargs)
+    return fusedmm_generic(A, X, Y, pattern=op_pattern, out=out, row_offset=row_offset)
+
+
+def autotune_backend(
+    A: CSRMatrix,
+    op_pattern: OpPattern,
+    backend: str,
+    *,
+    num_threads: int = 1,
+    dim: int = 128,
+) -> Tuple[str, Optional[Callable], str, TuningResult]:
+    """Sweep the blocking strategies (and the jit tier) on synthetic
+    features of dimension ``dim``; the adjacency is what matters for the
+    access pattern.
+
+    Returns ``(kind, kernel, strategy, tuning)``.  A winning jit trial pins
+    the jit kernel (which has no row/edge strategy, so ``strategy`` is
+    ``"auto"``).  When the NumPy kernels win, ``auto`` resolves without
+    the jit tier; an explicit backend, ``"jit"`` included, is kept.
+    The swept edge-block size is ``tuning.block_size``.
+    """
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((A.nrows, dim)).astype(np.float32)
+    Y = (
+        X
+        if A.nrows == A.ncols
+        else rng.standard_normal((A.ncols, dim)).astype(np.float32)
+    )
+    tuning = autotune(
+        A,
+        X,
+        Y,
+        pattern=op_pattern,
+        num_threads=num_threads,
+        # The jit candidate only competes when the requested backend
+        # allows the tier; a forced optimized/specialized/generated
+        # backend keeps the classic row/edge sweep.
+        strategies=None if backend in ("auto", "jit") else ("row", "edge"),
+    )
+    resolved = op_pattern.resolved()
+    if tuning.strategy == "jit":
+        return "jit", jit_backend.get_jit_kernel(resolved), "auto", tuning
+    kind, kernel = resolve_backend(resolved, backend, allow_jit=False)
+    return kind, kernel, tuning.strategy, tuning
 
 
 def fusedmm(
@@ -74,7 +233,8 @@ def fusedmm(
         Sparse adjacency slice (anything :func:`repro.sparse.as_csr`
         accepts): ``m × n``.
     X:
-        ``m × d`` source-vertex features.
+        ``m × d`` source-vertex features; may be ``None`` for SpMM-like
+        patterns (``"gcn"``, ``"spmm"``), which ignore it.
     Y:
         ``n × d`` destination-vertex features; defaults to ``X`` when ``A``
         is square.
@@ -101,92 +261,22 @@ def fusedmm(
     numpy.ndarray
         The ``m × d`` updated feature matrix ``Z``.
     """
-    if backend not in BACKENDS:
-        raise BackendError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
     op_pattern = get_pattern(pattern, **pattern_overrides)
-    resolved = op_pattern.resolved()
-
-    if backend == "generic":
-        return fusedmm_generic(
-            A, X, Y, pattern=op_pattern, out=out, row_offset=row_offset
-        )
-
-    if backend == "jit" or (
-        backend == "auto"
-        and jit_backend.jit_available()
-        and jit_backend.jit_supports_pattern(resolved)
-    ):
-        # ``auto`` only prefers the tier when numba is actually importable;
-        # an explicit backend="jit" also runs interpreted (slow but exact)
-        # so the compiled semantics stay testable everywhere.
-        return jit_backend.fusedmm_jit(
-            A,
-            X,
-            Y,
-            pattern=op_pattern,
-            block_size=block_size or DEFAULT_BLOCK_SIZE,
-            num_threads=num_threads,
-            out=out,
-            row_offset=row_offset,
-        )
-
-    if backend in ("specialized", "auto"):
-        kernel = get_specialized_kernel(resolved)
-        if kernel is not None:
-            return kernel(
-                A,
-                X,
-                Y,
-                block_size=block_size or DEFAULT_BLOCK_SIZE,
-                num_threads=num_threads,
-                out=out,
-                row_offset=row_offset,
-            )
-        if backend == "specialized":
-            raise BackendError(
-                f"no specialized kernel exists for pattern {resolved.name!r}; "
-                "use backend='optimized' or 'auto'"
-            )
-
-    if backend in ("generated", "auto"):
-        if supports_pattern(resolved):
-            kernel = compile_kernel(resolved)
-            return kernel(
-                A,
-                X,
-                Y,
-                block_size=block_size or DEFAULT_BLOCK_SIZE,
-                num_threads=num_threads,
-                out=out,
-                row_offset=row_offset,
-            )
-        if backend == "generated":
-            raise BackendError(
-                f"the code generator has no templates for pattern {resolved.name!r} "
-                f"(ops {resolved.op_names()}); use backend='optimized' or 'auto'"
-            )
-
-    # optimized / auto fallback
-    try:
-        return fusedmm_optimized(
-            A,
-            X,
-            Y,
-            pattern=op_pattern,
-            strategy=strategy,
-            block_size=block_size,
-            num_threads=num_threads,
-            out=out,
-            row_offset=row_offset,
-        )
-    except Exception:
-        if backend == "optimized":
-            raise
-        # Last-resort fallback for exotic user operators whose batched form
-        # misbehaves: the reference kernel always works.
-        return fusedmm_generic(
-            A, X, Y, pattern=op_pattern, out=out, row_offset=row_offset
-        )
+    kind, kernel = resolve_backend(op_pattern.resolved(), backend)
+    return run_kernel(
+        kind,
+        kernel,
+        op_pattern,
+        A,
+        X,
+        Y,
+        backend=backend,
+        block_size=block_size,
+        strategy=strategy,
+        num_threads=num_threads,
+        out=out,
+        row_offset=row_offset,
+    )
 
 
 @dataclass
@@ -198,6 +288,9 @@ class _Plan:
     block_size: int
     num_threads: int
     tuning: Optional[TuningResult] = None
+    #: the resolved backend that runs (see :func:`resolve_backend`)
+    kind: str = "optimized"
+    kernel: Optional[Callable] = field(default=None, repr=False)
 
 
 class FusedMM:
@@ -228,69 +321,48 @@ class FusedMM:
         autotune_dim: int = 128,
         **pattern_overrides,
     ) -> None:
-        if backend not in BACKENDS:
-            raise BackendError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-        from ..sparse import as_csr
-
         self.A: CSRMatrix = as_csr(A)
         self.pattern: OpPattern = get_pattern(pattern, **pattern_overrides)
         self.resolved = self.pattern.resolved()
+        kind, kernel = resolve_backend(self.resolved, backend)
         self.partitions = part1d(self.A, max(1, num_threads))
-        self._autotune_requested = autotune
-        self._autotune_dim = autotune_dim
         self.plan = _Plan(
             backend=backend,
             strategy=strategy,
             block_size=block_size or DEFAULT_BLOCK_SIZE,
             num_threads=max(1, num_threads),
+            kind=kind,
+            kernel=kernel,
         )
-        if autotune:
-            self._run_autotune()
-
-    # ------------------------------------------------------------------ #
-    def _run_autotune(self) -> None:
-        """Tune strategy/block size on synthetic features of the configured
-        dimension (the adjacency is what matters for the access pattern)."""
-        rng = np.random.default_rng(0)
-        d = self._autotune_dim
-        X = rng.standard_normal((self.A.nrows, d)).astype(np.float32)
-        Y = (
-            X
-            if self.A.nrows == self.A.ncols
-            else rng.standard_normal((self.A.ncols, d)).astype(np.float32)
-        )
-        result = autotune(
-            self.A,
-            X,
-            Y,
-            pattern=self.pattern,
-            num_threads=self.plan.num_threads,
-            strategies=(
-                None if self.plan.backend in ("auto", "jit") else ("row", "edge")
-            ),
-        )
-        self.plan.tuning = result
-        if result.strategy == "jit":
-            # The JIT tier beat both NumPy blocking strategies: pin the
-            # backend (the jit kernels have no row/edge strategy knob).
-            self.plan.backend = "jit"
-            self.plan.strategy = "auto"
-        else:
-            self.plan.strategy = result.strategy
-        self.plan.block_size = result.block_size
+        if autotune and kind != "generic":
+            plan = self.plan
+            plan.kind, plan.kernel, plan.strategy, plan.tuning = autotune_backend(
+                self.A,
+                self.pattern,
+                backend,
+                num_threads=plan.num_threads,
+                dim=autotune_dim,
+            )
+            if plan.tuning.strategy == "jit":
+                plan.backend = "jit"
+            if block_size is None:
+                plan.block_size = plan.tuning.block_size
 
     # ------------------------------------------------------------------ #
     def __call__(self, X, Y=None, *, out=None, row_offset: int = 0) -> np.ndarray:
         """Execute the planned kernel on new feature matrices."""
-        return fusedmm(
+        plan = self.plan
+        return run_kernel(
+            plan.kind,
+            plan.kernel,
+            self.pattern,
             self.A,
             X,
             Y,
-            pattern=self.pattern,
-            backend=self.plan.backend,
-            num_threads=self.plan.num_threads,
-            block_size=self.plan.block_size,
-            strategy=self.plan.strategy,
+            backend=plan.backend,
+            block_size=plan.block_size,
+            strategy=plan.strategy,
+            num_threads=plan.num_threads,
             out=out,
             row_offset=row_offset,
         )

@@ -38,6 +38,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ..sparse import CSRMatrix
 from .operators import Operator
 from .parallel import ParallelConfig, run_partitioned
 from .partition import RowPartition
@@ -49,6 +50,7 @@ __all__ = [
     "fusedmm_rowblocked",
     "fusedmm_edgeblocked",
     "fusedmm_optimized",
+    "auto_strategy",
 ]
 
 
@@ -305,6 +307,12 @@ def fusedmm_edgeblocked(
 # ---------------------------------------------------------------------- #
 # Strategy dispatcher
 # ---------------------------------------------------------------------- #
+def auto_strategy(A: CSRMatrix) -> str:
+    """The data-dependent choice behind ``strategy="auto"``: row-blocking
+    once rows average 32 neighbours, edge-blocking below that."""
+    return "row" if A.avg_degree() >= 32 else "edge"
+
+
 def fusedmm_optimized(
     A,
     X,
@@ -339,7 +347,7 @@ def fusedmm_optimized(
     if strategy not in {"auto", "row", "edge"}:
         raise ValueError(f"unknown strategy {strategy!r}")
     if strategy == "auto":
-        strategy = "row" if A_csr.avg_degree() >= 32 else "edge"
+        strategy = auto_strategy(A_csr)
     if strategy == "row":
         return fusedmm_rowblocked(
             A_csr,

@@ -24,12 +24,11 @@ import numpy as np
 
 from ..bench.tables import format_table
 from ..core.autotune import DEFAULT_BLOCK_CANDIDATES
-from ..core.codegen import compile_kernel
-from ..core.fused import fusedmm
+from ..core.fused import fusedmm, resolve_backend
 from ..core.optimized import fusedmm_edgeblocked, fusedmm_rowblocked
 from ..core.partition import part1d, partition_balance
 from ..core.patterns import get_pattern
-from ..core.specialized import get_specialized_kernel
+from ..errors import BackendError
 from ..graphs.datasets import load_dataset
 from ..graphs.generators import rmat
 from ..graphs.features import random_features
@@ -72,14 +71,13 @@ def run_backend_ladder(
         t = time_kernel(fn, A, X, X, pattern=pattern, repeats=repeats).mean
         rows.append({"backend": strategy, "seconds": t, "extrapolated": False})
 
-    generated = compile_kernel(resolved)
-    t = time_kernel(generated, A, X, X, repeats=repeats).mean
-    rows.append({"backend": "generated", "seconds": t, "extrapolated": False})
-
-    specialized = get_specialized_kernel(resolved)
-    if specialized is not None:
-        t = time_kernel(specialized, A, X, X, repeats=repeats).mean
-        rows.append({"backend": "specialized", "seconds": t, "extrapolated": False})
+    for backend in ("generated", "specialized"):
+        try:
+            _, kernel = resolve_backend(resolved, backend)
+        except BackendError:
+            continue
+        t = time_kernel(kernel, A, X, X, repeats=repeats).mean
+        rows.append({"backend": backend, "seconds": t, "extrapolated": False})
 
     from ..core.jit import jit_available, jit_supports_pattern
 

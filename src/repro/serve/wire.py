@@ -130,6 +130,34 @@ async def _read_frame(
 # ---------------------------------------------------------------------- #
 # Server
 # ---------------------------------------------------------------------- #
+class _Connection:
+    """One wire connection's state, as the wind-down sees it."""
+
+    def __init__(self, reader: asyncio.StreamReader, writer) -> None:
+        self.reader = reader
+        self.writer = writer
+        #: admitted request frames not yet answered
+        self.outstanding: "set[asyncio.Task]" = set()
+        #: the read loop is waiting for the next frame
+        self.parked = False
+        #: set when the server winds down: hang up as soon as idle
+        self.closing = False
+
+    def finished(self, job: asyncio.Task) -> None:
+        self.outstanding.discard(job)
+        self.hang_up_if_idle()
+
+    def hang_up_if_idle(self) -> None:
+        """While closing, end the read loop once nothing is outstanding:
+        stop reading and mark EOF.  Frames already buffered are still
+        read and answered; the loop then sees a clean EOF and closes the
+        socket.  A frame caught half-received gets the truncated-frame
+        error."""
+        if self.closing and self.parked and not self.outstanding:
+            self.writer.transport.pause_reading()
+            self.reader.feed_eof()
+
+
 class WireServer:
     """The binary-protocol listener beside a ``KernelServer``.
 
@@ -143,7 +171,7 @@ class WireServer:
     def __init__(self, owner) -> None:
         self._owner = owner
         self._server: Optional[asyncio.AbstractServer] = None
-        self._connections: "set[asyncio.Task]" = set()
+        self._connections: Dict[asyncio.Task, _Connection] = {}
         self._started = time.monotonic()
         self.frames_served = 0
         self.errors_sent = 0
@@ -188,8 +216,14 @@ class WireServer:
         (with a 503 error frame once draining).  So connections first get
         ``timeout`` seconds to finish naturally: readers keep serving
         (drain answers), clients collect their outstanding responses and
-        hang up.  Whatever is still connected after the grace is cut.
+        hang up.  The coalescer has drained by now, so a connection with
+        nothing outstanding is only waiting for its client: the server
+        hangs up on it as soon as it is idle instead of waiting out the
+        grace.  Whatever is still connected after the grace is cut.
         """
+        for conn in list(self._connections.values()):
+            conn.closing = True
+            conn.hang_up_if_idle()
         if self._connections and timeout:
             await asyncio.wait(set(self._connections), timeout=timeout)
         for task in list(self._connections):
@@ -210,13 +244,14 @@ class WireServer:
 
     # ------------------------------------------------------------------ #
     async def _handle_connection(self, reader, writer) -> None:
+        conn = _Connection(reader, writer)
+        outstanding = conn.outstanding
         task = asyncio.current_task()
         if task is not None:
-            self._connections.add(task)
-            task.add_done_callback(self._connections.discard)
+            self._connections[task] = conn
+            task.add_done_callback(lambda t: self._connections.pop(t, None))
         self.connections_accepted += 1
         write_lock = asyncio.Lock()
-        outstanding: "set[asyncio.Task]" = set()
 
         async def send(opcode: int, request_id: int, payload: bytes) -> None:
             # Responses come from concurrently completing tasks; the lock
@@ -238,9 +273,12 @@ class WireServer:
                 ),
             )
             while True:
+                conn.parked = True
+                conn.hang_up_if_idle()
                 frame = await _read_frame(
                     reader, max_payload=self.config.max_body_bytes
                 )
+                conn.parked = False
                 if frame is None:
                     break
                 opcode, request_id, payload = frame
@@ -278,7 +316,7 @@ class WireServer:
                     self._serve_frame(send, opcode, request_id, payload)
                 )
                 outstanding.add(job)
-                job.add_done_callback(outstanding.discard)
+                job.add_done_callback(conn.finished)
         except ProtocolError as exc:
             self.protocol_errors += 1
             try:

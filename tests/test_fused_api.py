@@ -83,6 +83,17 @@ def test_accepts_scipy_and_dense_inputs(problem):
     Z_dense = fusedmm(A.to_dense(), X, Y, pattern="gcn")
     assert np.allclose(Z_csr, Z_scipy, atol=1e-5)
     assert np.allclose(Z_csr, Z_dense, atol=1e-5)
+    # SpMM-like patterns ignore X, so it may be omitted; fusedmm() and the
+    # runtime accept that alike.
+    from repro.runtime import KernelRuntime
+
+    with KernelRuntime(num_threads=1) as rt:
+        for backend in ("auto", "jit", "specialized", "generated"):
+            for pattern in ("gcn", "spmm"):
+                opts = dict(pattern=pattern, backend=backend)
+                ref = fusedmm(A, Y, Y, **opts)
+                assert np.array_equal(fusedmm(A, None, Y, **opts), ref), opts
+                assert np.array_equal(rt.run(A, None, Y, **opts), ref), opts
 
 
 def test_strategy_argument(problem):
@@ -140,3 +151,32 @@ def test_fusedmm_class_unknown_backend(problem):
 def test_fusedmm_class_repr(problem):
     A, _, _ = problem
     assert "FusedMM" in repr(FusedMM(A))
+
+
+def test_autotune_demotes_jit_like_the_runtime(problem, monkeypatch):
+    """When the sweep measures the NumPy kernels faster than jit, auto's
+    jit preference is dropped by FusedMM exactly as by rt.plan."""
+    import repro.core.jit as jitmod
+    from repro.runtime import KernelRuntime
+
+    A, X, Y = problem
+    calls = []
+    real_jit = jitmod.fusedmm_jit
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real_jit(*args, **kwargs)
+
+    # Without numba the jit candidate runs interpreted and loses the sweep.
+    monkeypatch.setattr(jitmod, "NUMBA_AVAILABLE", True)
+    monkeypatch.setattr(jitmod, "fusedmm_jit", spy)
+    kernel = FusedMM(A, backend="auto", autotune=True, autotune_dim=8)
+    with KernelRuntime(num_threads=1, autotune=True, autotune_dim=8) as rt:
+        plan = rt.plan(A, backend="auto")
+        Z_rt = rt.run(A, X, Y, backend="auto")
+    assert kernel.plan.tuning.strategy == plan.tuning.strategy
+    assert kernel.plan.kind == plan.kind
+    calls.clear()
+    Z = kernel(X, Y)
+    assert bool(calls) == (plan.kind == "jit")
+    assert np.array_equal(Z, Z_rt)

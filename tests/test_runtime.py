@@ -14,7 +14,8 @@ Covers the contracts the runtime advertises:
 import numpy as np
 import pytest
 
-from repro.core.fused import fusedmm
+from repro.core.fused import BACKENDS, FusedMM, fusedmm
+from repro.core.patterns import PATTERNS as PATTERN_REGISTRY
 from repro.errors import BackendError, ShapeError
 from repro.graphs import random_features
 from repro.runtime import (
@@ -28,6 +29,8 @@ from repro.sparse import CSRMatrix, random_csr
 from _helpers import make_xy
 
 PATTERNS = ["sigmoid_embedding", "fr_layout", "gcn", "spmm"]
+#: every built-in pattern (snapshot before any test registers its own)
+REGISTERED_PATTERNS = sorted(PATTERN_REGISTRY)
 
 
 @pytest.fixture
@@ -152,13 +155,32 @@ def test_run_bitwise_equals_fusedmm(pattern, small_problem):
     assert np.array_equal(rt.run(A, X, Y, pattern=pattern), ref)
 
 
-@pytest.mark.parametrize("backend", ["generic", "optimized", "specialized", "generated"])
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_run_honours_backend(backend, small_problem):
+    """Every entry point dispatches alike: fusedmm(), a FusedMM object,
+    rt.run and rt.run_batch (whose two copies pack into one block) are
+    bitwise identical for every registered pattern, or all refuse it."""
     A, X, Y = small_problem
     rt = KernelRuntime(num_threads=1)
-    ref = fusedmm(A, X, Y, pattern="sigmoid_embedding", backend=backend, num_threads=1)
-    Z = rt.run(A, X, Y, pattern="sigmoid_embedding", backend=backend)
-    assert np.allclose(Z, ref, atol=1e-6)
+    for pattern in REGISTERED_PATTERNS:
+        opts = dict(pattern=pattern, backend=backend)
+        try:
+            ref = fusedmm(A, X, Y, num_threads=1, **opts)
+        except BackendError:
+            with pytest.raises(BackendError):
+                FusedMM(A, **opts)(X, Y)
+            with pytest.raises(BackendError):
+                rt.run(A, X, Y, **opts)
+            with pytest.raises(BackendError):
+                rt.run_batch([KernelRequest(A, X, Y, **opts)])
+            continue
+        req = KernelRequest(A, X, Y, **opts)
+        for Z in (
+            FusedMM(A, **opts)(X, Y),
+            rt.run(A, X, Y, **opts),
+            *rt.run_batch([req, req]),
+        ):
+            assert np.array_equal(Z, ref), (pattern, backend)
 
 
 def test_unknown_backend_rejected(small_problem):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -305,12 +306,16 @@ class TestWireEndToEnd:
                 # Shutdown from another thread while all four sit in the
                 # open 50ms window.
                 stopper = threading.Thread(target=bg.stop)
+                t0 = time.monotonic()
                 stopper.start()
                 answered = {}
                 for _ in range(len(rids)):
                     rid, value = client.recv()
                     answered[rid] = value
                 stopper.join()
+                # The idle connection is hung up once drained, not held
+                # for the whole drain_timeout_s grace.
+                assert time.monotonic() - t0 < config.drain_timeout_s / 2
             assert set(answered) == rids
             for value in answered.values():
                 if isinstance(value, Exception):
