@@ -11,13 +11,14 @@ import pytest
 
 from repro.core import (
     autotune,
-    compile_kernel,
+    compiled_available,
     fusedmm_edgeblocked,
     fusedmm_rowblocked,
     get_pattern,
     sigmoid_embedding_kernel,
 )
 from repro.core.autotune import clear_tuning_cache
+from repro.core.compiled import get_compiled_kernel
 
 from _bench_utils import features_for
 
@@ -61,11 +62,12 @@ def bench_ablation_specialized_kernel(benchmark, ogbprot_graph):
     benchmark(lambda: sigmoid_embedding_kernel(A, X, X))
 
 
+@pytest.mark.skipif(not compiled_available(), reason="no C compiler ($CC or cc)")
 def bench_ablation_generated_kernel(benchmark, ogbprot_graph):
-    """Code-generated kernel (compile once, then run)."""
+    """Code-generated C kernel (compile or load once, then run)."""
     A = ogbprot_graph.adjacency
     X = features_for(ogbprot_graph, 128)
-    kernel = compile_kernel(get_pattern("sigmoid_embedding").resolved())
+    kernel = get_compiled_kernel(get_pattern("sigmoid_embedding").resolved())
     benchmark.group = "ablation-strategy-ogbprot-d128"
     benchmark(lambda: kernel(A, X, X))
 

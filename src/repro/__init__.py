@@ -3,10 +3,11 @@ and graph neural networks.
 
 This package reproduces *FusedMM: A Unified SDDMM-SpMM Kernel for Graph
 Embedding and Graph Neural Networks* (Rahman, Sujon, Azad — IPDPS 2021) as a
-pure-Python/NumPy library:
+Python/NumPy library whose fastest kernels are C generated per pattern and
+built with the system compiler at run time:
 
 * :mod:`repro.core` — the FusedMM kernel: five-step operator abstraction,
-  reference / vectorized / specialized / generated backends, 1-D
+  reference / vectorized / specialized / compiled C / jit backends, 1-D
   partitioning and thread parallelism, autotuning.
 * :mod:`repro.sparse` — CSR/COO sparse-matrix substrate.
 * :mod:`repro.graphs` — graph generators, the Table V dataset registry,

@@ -6,7 +6,7 @@ feature dimension:
 
 * ``dgl``        — the unfused SDDMM → H → SpMM pipeline,
 * ``fusedmm``    — the general (unoptimized) fused kernel (Alg. 1 reference),
-* ``fusedmmopt`` — the optimized fused kernel (specialized / generated /
+* ``fusedmmopt`` — the optimized fused kernel (compiled / specialized /
   vectorized backend).
 
 :func:`compare_kernels` runs exactly that comparison with the paper's

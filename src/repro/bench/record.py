@@ -12,13 +12,18 @@ Schema (version 1)::
       "schema_version": 1,
       "benchmark": "runtime",
       "created_unix": 1700000000.0,
-      "environment": {"python": "...", "platform": "...", "cpus": 8, ...},
+      "environment": {"python": "...", "platform": "...", "cpus": 8,
+                      "numba": "0.59.1" | null,
+                      "compiler": {"path": "/usr/bin/cc", "version": "..."} | null,
+                      ...},
       "rows": [{...}, ...]
     }
 """
 
 from __future__ import annotations
 
+import importlib.metadata
+import importlib.util
 import json
 import platform
 import sys
@@ -28,6 +33,7 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
+from ..core.compiled import compiler_description
 from ..core.parallel import available_threads
 from ..version import __version__
 
@@ -36,13 +42,30 @@ __all__ = ["bench_environment", "record_benchmark", "load_benchmark"]
 SCHEMA_VERSION = 1
 
 
+def _numba_version() -> Optional[str]:
+    """numba's version when it is installed (without importing it)."""
+    if importlib.util.find_spec("numba") is None:
+        return None
+    try:
+        return importlib.metadata.version("numba")
+    except importlib.metadata.PackageNotFoundError:
+        return "unknown"
+
+
 def bench_environment() -> Dict[str, object]:
-    """The environment fingerprint stored alongside benchmark rows."""
+    """The environment fingerprint stored alongside benchmark rows.
+
+    ``cpus``, ``numba`` and ``compiler`` describe the host's kernel tiers;
+    :mod:`repro.bench.trend` refuses to compare records that differ in any
+    of them.
+    """
     return {
         "python": sys.version.split()[0],
         "platform": platform.platform(),
         "machine": platform.machine(),
         "cpus": available_threads(),
+        "numba": _numba_version(),
+        "compiler": compiler_description(),
         "numpy": np.__version__,
         "repro": __version__,
     }

@@ -18,6 +18,12 @@ Metric classification is by field name:
 
 Wall-clock rows below ``min_seconds`` are skipped: at sub-millisecond
 scale, scheduler noise dwarfs any real regression.
+
+Records are only comparable when they come from the same kind of host: a
+pair whose ``environment`` differs in CPU count, numba or the C compiler
+(:data:`HOST_KEYS`, where both records carry the key — older records lack
+the last two) is refused rather than compared, and :func:`render_report`
+exits with :data:`EXIT_HOST_MISMATCH`.
 """
 
 from __future__ import annotations
@@ -36,6 +42,9 @@ __all__ = [
     "render_report",
     "DEFAULT_THRESHOLD",
     "DEFAULT_MIN_SECONDS",
+    "HOST_KEYS",
+    "EXIT_HOST_MISMATCH",
+    "host_description",
 ]
 
 #: A metric may degrade by up to this fraction before it counts as a
@@ -46,6 +55,24 @@ DEFAULT_THRESHOLD = 0.15
 #: single-millisecond scale, scheduler jitter on shared runners routinely
 #: exceeds the regression threshold.
 DEFAULT_MIN_SECONDS = 5e-3
+
+#: ``environment`` keys that must agree for two records to be compared:
+#: they decide which kernel tiers ran and how wide they ran.
+HOST_KEYS = ("cpus", "numba", "compiler")
+
+#: Exit code of a comparison refused because the hosts differ (a
+#: regression exits 1).
+EXIT_HOST_MISMATCH = 3
+
+
+def host_description(record: Dict[str, object]) -> Dict[str, object]:
+    """The :data:`HOST_KEYS` a record's environment carries."""
+    env = record.get("environment") or {}
+    return {key: env[key] for key in HOST_KEYS if key in env}
+
+
+def _hosts_differ(a: Dict[str, object], b: Dict[str, object]) -> bool:
+    return any(a[key] != b[key] for key in a.keys() & b.keys())
 
 
 def _metric_direction(name: str) -> Optional[int]:
@@ -141,6 +168,8 @@ class TrendReport:
     unmatched: List[str] = field(default_factory=list)
     #: files present in only one directory (directory mode)
     missing: List[str] = field(default_factory=list)
+    #: record pairs refused because their host descriptions differ
+    host_mismatches: List[str] = field(default_factory=list)
 
     @property
     def regressions(self) -> List[MetricDelta]:
@@ -148,7 +177,7 @@ class TrendReport:
 
     @property
     def ok(self) -> bool:
-        return not self.regressions
+        return not self.regressions and not self.host_mismatches
 
     def rows(self) -> List[Dict[str, object]]:
         return [d.describe() for d in self.deltas]
@@ -225,6 +254,8 @@ def compare_paths(
     In directory mode the records are matched by filename; files present
     on one side only are reported in :attr:`TrendReport.missing` but do
     not fail the comparison (new benchmarks appear, old ones retire).
+    A pair recorded on different hosts (:func:`host_description`) is not
+    compared; it lands in :attr:`TrendReport.host_mismatches`.
     """
     baseline, current = Path(baseline), Path(current)
     pairs: List[Tuple[Path, Path, str]] = []
@@ -246,9 +277,18 @@ def compare_paths(
     else:
         pairs.append((baseline, current, current.name))
     for base_path, cur_path, name in pairs:
+        base_record = load_benchmark(base_path)
+        cur_record = load_benchmark(cur_path)
+        base_host = host_description(base_record)
+        cur_host = host_description(cur_record)
+        if _hosts_differ(base_host, cur_host):
+            report.host_mismatches.append(
+                f"{name}: baseline host {base_host} != current host {cur_host}"
+            )
+            continue
         sub = compare_records(
-            load_benchmark(base_path),
-            load_benchmark(cur_path),
+            base_record,
+            cur_record,
             threshold=threshold,
             min_seconds=min_seconds,
             source=name,
@@ -269,9 +309,17 @@ def render_report(
 
     Shared by ``repro bench compare`` and ``benchmarks/compare_trend.py``
     so the rendering, note handling and exit-code policy cannot drift
-    between the two entry points.
+    between the two entry points.  Exit codes: 0 clean (or ``no_fail``),
+    1 a regression, :data:`EXIT_HOST_MISMATCH` records from different
+    hosts.
     """
     from .tables import format_table
+
+    if report.host_mismatches:
+        for note in report.host_mismatches:
+            print_fn(f"refusing to compare across hosts: {note}")
+        if not no_fail:
+            return EXIT_HOST_MISMATCH
 
     if report.rows():
         print_fn(

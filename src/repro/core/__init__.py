@@ -7,9 +7,9 @@ Layout
 ``generic``      Algorithm 1 reference kernel
 ``optimized``    vectorized row-/edge-blocked kernels (FusedMMopt)
 ``specialized``  hand-fused kernels for the known patterns
+``compiled``     C kernels emitted per pattern, built with the system ``cc``
 ``jit``          Numba-compiled row-fused kernels (optional extra)
 ``mathops``      shared scalar math (clipped sigmoid)
-``codegen``      pattern-specialized kernel source generator
 ``autotune``     strategy / block-size autotuner
 ``partition``    PART1D nnz-balanced 1-D partitioning
 ``parallel``     thread-parallel partition driver
@@ -17,7 +17,7 @@ Layout
 """
 
 from .autotune import TuningResult, autotune
-from .codegen import compile_kernel, generate_kernel_source, supports_pattern
+from .compiled import compiled_available, compiled_supports_pattern
 from .fused import BACKENDS, FusedMM, fusedmm
 from .generic import fusedmm_generic
 from .jit import fusedmm_jit, jit_available, jit_supports_pattern
@@ -45,6 +45,8 @@ __all__ = [
     "FusedMM",
     "BACKENDS",
     "fusedmm_generic",
+    "compiled_available",
+    "compiled_supports_pattern",
     "fusedmm_jit",
     "jit_available",
     "jit_supports_pattern",
@@ -71,9 +73,6 @@ __all__ = [
     "spmm_kernel",
     "gcn_kernel",
     "get_specialized_kernel",
-    "compile_kernel",
-    "generate_kernel_source",
-    "supports_pattern",
     "autotune",
     "TuningResult",
     "part1d",

@@ -28,6 +28,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from ..sparse import CSRMatrix
+from . import compiled as compiled_backend
 from . import jit as jit_backend
 from .optimized import DEFAULT_BLOCK_SIZE, fusedmm_edgeblocked, fusedmm_rowblocked
 from .patterns import OpPattern, get_pattern
@@ -148,11 +149,11 @@ def autotune(
     Parameters
     ----------
     strategies:
-        Subset of ``{"row", "edge", "jit"}`` to try.  The default
-        (``None``) sweeps both NumPy blocking strategies and adds the JIT
-        backend as a candidate whenever numba is importable and the
-        pattern maps onto the compiled dispatch table — a winning ``"jit"``
-        trial makes callers pin the jit backend for the planned kernel.
+        Subset of ``{"row", "edge", "compiled", "jit"}`` to try; the
+        default (``None``) sweeps both NumPy blocking strategies.  The
+        dispatcher (:func:`repro.core.fused.autotune_backend`) adds the
+        compiled tiers where ``auto`` would consider them — a winning
+        ``"compiled"``/``"jit"`` trial makes it pin that backend.
     block_candidates:
         Edge block sizes to sweep (only relevant for the edge strategy).
     repeats:
@@ -165,8 +166,6 @@ def autotune(
     resolved = get_pattern(pattern, **pattern_overrides).resolved()
     if strategies is None:
         strategies = ("row", "edge")
-        if jit_backend.jit_available() and jit_backend.jit_supports_pattern(resolved):
-            strategies = ("row", "edge", "jit")
     key = (
         tuple(sorted(resolved.op_names().items())),
         X_arr.shape[1],
@@ -225,11 +224,20 @@ def autotune(
                 **pattern_overrides,
             )
             trials[("jit", 0)] = elapsed
+        elif strategy == "compiled":
+            elapsed = _time(
+                compiled_backend.get_compiled_kernel(resolved),
+                sample,
+                Xs,
+                Y_arr,
+                num_threads=num_threads,
+            )
+            trials[("compiled", 0)] = elapsed
         else:
             raise ValueError(f"unknown strategy {strategy!r}")
 
     (best_strategy, best_block), best_time = min(trials.items(), key=lambda kv: kv[1])
-    if best_strategy in ("row", "jit"):
+    if best_strategy in ("row", "compiled", "jit"):
         best_block = DEFAULT_BLOCK_SIZE
     result = TuningResult(
         strategy=best_strategy,

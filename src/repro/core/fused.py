@@ -15,19 +15,22 @@ Two levels of API are provided:
 Both, and the runtime's :class:`~repro.runtime.plan.KernelPlan`, dispatch
 through this module alone: :func:`resolve_backend` picks ``(kind,
 kernel)``, :func:`run_kernel` executes it and :func:`autotune_backend`
-pins or demotes the jit tier by a measured sweep.
+pins or demotes the compiled tiers (``compiled``, ``jit``) by a measured
+sweep.
 
 Backends
 --------
 ``"generic"``      the faithful Algorithm 1 reference (paper's "FusedMM")
 ``"optimized"``    vectorized row-/edge-blocked kernels (paper's "FusedMMopt")
-``"specialized"``  hand-fused kernels for the known Table III patterns
-``"generated"``    kernels emitted by the code generator (Section IV.B)
+``"specialized"``  hand-fused NumPy kernels for the known Table III patterns
+``"compiled"``     C kernels emitted from the pattern's opcodes and built
+                   with the system compiler (Section IV.B,
+                   :mod:`repro.core.compiled`); needs ``$CC`` or ``cc``
 ``"jit"``          Numba-compiled row-fused kernels (:mod:`repro.core.jit`);
                    runs interpreted when the optional numba extra is absent
-``"auto"``         jit (only when numba is importable) → specialized →
-                   generated → optimized → generic, first backend that
-                   supports the requested pattern wins
+``"auto"``         compiled (only when a C compiler is found) → jit (only
+                   when numba is importable) → specialized → optimized →
+                   generic, first backend that supports the pattern wins
 
 All backends share the ``out=``/``row_offset=`` output surface: pass a
 preallocated ``(k, d)`` slab and row ``u`` of the result lands in
@@ -43,11 +46,11 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import BackendError
+from ..errors import BackendError, CodegenError
 from ..sparse import CSRMatrix, as_csr
 from . import jit as jit_backend
 from .autotune import TuningResult, autotune
-from .codegen import compile_kernel, supports_pattern
+from .compiled import compiled_available, compiled_supports_pattern, get_compiled_kernel
 from .generic import fusedmm_generic
 from .optimized import DEFAULT_BLOCK_SIZE, fusedmm_optimized
 from .partition import RowPartition, part1d
@@ -63,36 +66,57 @@ __all__ = [
     "autotune_backend",
 ]
 
-BACKENDS = ("auto", "jit", "generic", "optimized", "specialized", "generated")
+BACKENDS = ("auto", "compiled", "jit", "generic", "optimized", "specialized")
+
+#: The backends with no row/edge strategy, which a sweep pins or demotes.
+COMPILED_TIERS = ("compiled", "jit")
+
+
+def _tier_kernel(tier: str, resolved: ResolvedPattern) -> Callable:
+    if tier == "compiled":
+        return get_compiled_kernel(resolved)
+    return jit_backend.get_jit_kernel(resolved)
+
+
+def _auto_tiers(resolved: ResolvedPattern) -> Tuple[str, ...]:
+    """The compiled tiers ``auto`` tries for ``resolved``, in order: each
+    only when its toolchain is present (a C compiler, numba) and the
+    pattern maps onto its opcodes.  An explicit backend="jit" still runs
+    interpreted without numba, so its semantics stay testable everywhere.
+    """
+    tiers = []
+    if compiled_available() and compiled_supports_pattern(resolved):
+        tiers.append("compiled")
+    if jit_backend.jit_available() and jit_backend.jit_supports_pattern(resolved):
+        tiers.append("jit")
+    return tuple(tiers)
 
 
 def resolve_backend(
-    resolved: ResolvedPattern, backend: str = "auto", *, allow_jit: bool = True
+    resolved: ResolvedPattern, backend: str = "auto", *, allow_compiled: bool = True
 ) -> Tuple[str, Optional[Callable]]:
     """Resolve ``backend`` for a pattern; returns ``(kind, kernel)``.
 
-    ``kind`` is the backend that will run — ``"jit"``, ``"specialized"``,
-    ``"generated"``, ``"optimized"`` or ``"generic"`` — and ``kernel`` the
-    concrete callable for the first three (``None`` otherwise).  An
+    ``kind`` is the backend that will run — ``"compiled"``, ``"jit"``,
+    ``"specialized"``, ``"optimized"`` or ``"generic"`` — and ``kernel``
+    the concrete callable for the first three (``None`` otherwise).  An
     explicit backend that cannot run the pattern raises
     :class:`~repro.errors.BackendError`; ``auto`` falls through to the
-    next tier instead.  ``allow_jit=False`` skips the jit tier for
-    ``auto`` (the autotuner measured the NumPy kernels as faster).
+    next tier instead.  ``allow_compiled=False`` skips the compiled tiers
+    for ``auto`` (the autotuner measured the NumPy kernels as faster).
     """
     if backend not in BACKENDS:
         raise BackendError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
     if backend == "generic":
         return "generic", None
-    if backend == "jit" or (
-        backend == "auto"
-        and allow_jit
-        and jit_backend.jit_available()
-        and jit_backend.jit_supports_pattern(resolved)
-    ):
-        # ``auto`` only prefers the tier when numba is actually importable;
-        # an explicit backend="jit" also runs interpreted (slow but exact)
-        # so the compiled semantics stay testable everywhere.
-        return "jit", jit_backend.get_jit_kernel(resolved)
+    if backend in COMPILED_TIERS:
+        return backend, _tier_kernel(backend, resolved)
+    if backend == "auto" and allow_compiled:
+        for tier in _auto_tiers(resolved):
+            try:
+                return tier, _tier_kernel(tier, resolved)
+            except CodegenError:
+                pass  # the compiler rejected the source: take the next tier
     if backend in ("specialized", "auto"):
         kernel = get_specialized_kernel(resolved)
         if kernel is not None:
@@ -101,14 +125,6 @@ def resolve_backend(
             raise BackendError(
                 f"no specialized kernel exists for pattern {resolved.name!r}; "
                 "use backend='optimized' or 'auto'"
-            )
-    if backend in ("generated", "auto"):
-        if supports_pattern(resolved):
-            return "generated", compile_kernel(resolved)
-        if backend == "generated":
-            raise BackendError(
-                f"the code generator has no templates for pattern {resolved.name!r} "
-                f"(ops {resolved.op_names()}); use backend='optimized' or 'auto'"
             )
     return "optimized", None
 
@@ -156,9 +172,9 @@ def run_kernel(
             if backend == "optimized":
                 raise
     elif kind != "generic":
-        if X is None and kind != "jit":
-            # The jit kernels take X=None themselves; the specialized and
-            # generated ones hand SpMM-like patterns to the plain A·Y kernel.
+        if X is None and kind not in COMPILED_TIERS:
+            # The compiled and jit kernels take X=None themselves; the
+            # specialized ones hand SpMM-like patterns to the plain A·Y kernel.
             if not op_pattern.resolved().is_spmm_like:
                 raise BackendError(
                     f"pattern {op_pattern.name!r} needs source features X"
@@ -176,15 +192,16 @@ def autotune_backend(
     num_threads: int = 1,
     dim: int = 128,
 ) -> Tuple[str, Optional[Callable], str, TuningResult]:
-    """Sweep the blocking strategies (and the jit tier) on synthetic
-    features of dimension ``dim``; the adjacency is what matters for the
-    access pattern.
+    """Sweep the blocking strategies (and, for ``auto``, the compiled
+    tiers) on synthetic features of dimension ``dim``; the adjacency is
+    what matters for the access pattern.
 
-    Returns ``(kind, kernel, strategy, tuning)``.  A winning jit trial pins
-    the jit kernel (which has no row/edge strategy, so ``strategy`` is
-    ``"auto"``).  When the NumPy kernels win, ``auto`` resolves without
-    the jit tier; an explicit backend, ``"jit"`` included, is kept.
-    The swept edge-block size is ``tuning.block_size``.
+    Returns ``(kind, kernel, strategy, tuning)``.  A winning compiled or
+    jit trial pins that kernel (which has no row/edge strategy, so
+    ``strategy`` is ``"auto"``).  When the NumPy kernels win, ``auto``
+    resolves without the compiled tiers; an explicit backend, ``"jit"`` or
+    ``"compiled"`` included, is kept.  The swept edge-block size is
+    ``tuning.block_size``.
     """
     rng = np.random.default_rng(0)
     X = rng.standard_normal((A.nrows, dim)).astype(np.float32)
@@ -193,22 +210,23 @@ def autotune_backend(
         if A.nrows == A.ncols
         else rng.standard_normal((A.ncols, dim)).astype(np.float32)
     )
+    resolved = op_pattern.resolved()
+    # The compiled tiers only compete where auto would consider them.
+    tiers = _auto_tiers(resolved) if backend == "auto" else ()
     tuning = autotune(
         A,
         X,
         Y,
         pattern=op_pattern,
         num_threads=num_threads,
-        # The jit candidate only competes when the requested backend
-        # allows the tier; a forced optimized/specialized/generated
-        # backend keeps the classic row/edge sweep.
-        strategies=None if backend in ("auto", "jit") else ("row", "edge"),
+        strategies=("row", "edge", *tiers),
     )
-    resolved = op_pattern.resolved()
-    if tuning.strategy == "jit":
-        return "jit", jit_backend.get_jit_kernel(resolved), "auto", tuning
-    kind, kernel = resolve_backend(resolved, backend, allow_jit=False)
-    return kind, kernel, tuning.strategy, tuning
+    if tuning.strategy in COMPILED_TIERS:
+        kind, kernel = resolve_backend(resolved, tuning.strategy)
+    else:
+        kind, kernel = resolve_backend(resolved, backend, allow_compiled=False)
+    strategy = "auto" if kind in COMPILED_TIERS else tuning.strategy
+    return kind, kernel, strategy, tuning
 
 
 def fusedmm(
@@ -343,8 +361,8 @@ class FusedMM:
                 num_threads=plan.num_threads,
                 dim=autotune_dim,
             )
-            if plan.tuning.strategy == "jit":
-                plan.backend = "jit"
+            if plan.tuning.strategy in COMPILED_TIERS:
+                plan.backend = plan.tuning.strategy
             if block_size is None:
                 plan.block_size = plan.tuning.block_size
 

@@ -89,8 +89,17 @@ def jit_available() -> bool:
 # Opcode dispatch tables for the generic pipeline kernel
 # ---------------------------------------------------------------------- #
 # A NOOP in the VOP slot passes the neighbour feature through (the reference
-# kernel's ``w = y_v``), i.e. it is SEL2ND.
-_VOP_CODES = {"NOOP": 0, "SEL2ND": 0, "ADD": 1, "SUB": 2, "MUL": 3, "SEL1ST": 4}
+# kernel's ``w = y_v``), i.e. it is SEL2ND.  EDGESCALE as VOP scales the
+# source feature by the edge value.
+_VOP_CODES = {
+    "NOOP": 0,
+    "SEL2ND": 0,
+    "ADD": 1,
+    "SUB": 2,
+    "MUL": 3,
+    "SEL1ST": 4,
+    "EDGESCALE": 5,
+}
 _ROP_CODES = {"NOOP": 0, "RSUM": 1, "RMUL": 2, "RMAX": 3, "NORM": 4}
 _SOP_CODES = {
     "NOOP": 0,
@@ -249,7 +258,8 @@ def _pipeline_rows(
     trade the paper's generated kernels make when they inline the operator
     bodies.  Semantics mirror :func:`repro.core.generic.update_u` exactly,
     including the scalar-message broadcast of patterns whose MOP keeps the
-    reduced message (``sddmm_dot``).
+    reduced message (``sddmm_dot``) and NaN propagation through RELU and
+    the max/min operators (as ``np.maximum``/``np.minimum`` do).
     """
     d = Y.shape[1]
     for u in prange(row_start, row_stop):
@@ -287,9 +297,12 @@ def _pipeline_rows(
             elif vop == 3:
                 for j in range(d):
                     w[j] = X[u, j] * Y[v, j]
-            else:
+            elif vop == 4:
                 for j in range(d):
                     w[j] = X[u, j]
+            else:
+                for j in range(d):
+                    w[j] = a * X[u, j]
             if rop != 0:
                 # Scalar-message path: ROP reduces w, SOP scales the scalar.
                 s = 0.0
@@ -303,7 +316,7 @@ def _pipeline_rows(
                 elif rop == 3:
                     s = w[0]
                     for j in range(1, d):
-                        if w[j] > s:
+                        if w[j] > s or w[j] != w[j]:
                             s = w[j]
                 else:
                     for j in range(d):
@@ -314,7 +327,7 @@ def _pipeline_rows(
                 elif sop == 1:
                     h = _jit_sigmoid(s)
                 elif sop == 2:
-                    h = s if s > 0.0 else 0.0
+                    h = s if s > 0.0 or s != s else 0.0
                 elif sop == 3:
                     h = math.tanh(s)
                 elif sop == 4:
@@ -348,10 +361,10 @@ def _pipeline_rows(
                     if aop == 0:
                         acc[j] += m
                     elif aop == 1:
-                        if m > acc[j]:
+                        if m > acc[j] or m != m:
                             acc[j] = m
                     else:
-                        if m < acc[j]:
+                        if m < acc[j] or m != m:
                             acc[j] = m
             else:
                 # Vector-message path: SOP/MOP/AOP fuse per element.
@@ -362,7 +375,7 @@ def _pipeline_rows(
                     elif sop == 1:
                         h = _jit_sigmoid(wj)
                     elif sop == 2:
-                        h = wj if wj > 0.0 else 0.0
+                        h = wj if wj > 0.0 or wj != wj else 0.0
                     elif sop == 3:
                         h = math.tanh(wj)
                     elif sop == 4:
@@ -393,10 +406,10 @@ def _pipeline_rows(
                     if aop == 0:
                         acc[j] += m
                     elif aop == 1:
-                        if m > acc[j]:
+                        if m > acc[j] or m != m:
                             acc[j] = m
                     else:
-                        if m < acc[j]:
+                        if m < acc[j] or m != m:
                             acc[j] = m
         for j in range(d):
             out[r, j] = acc[j]
@@ -406,6 +419,8 @@ def _pipeline_rows(
 # Dispatch
 # ---------------------------------------------------------------------- #
 def _pattern_codes(resolved: ResolvedPattern):
+    """``(vop, rop, sop, mop, aop, alpha)`` of ``resolved`` for the compiled
+    tiers (this module and :mod:`repro.core.compiled`)."""
     names = resolved.op_names()
     sop = _sop_code(names["sop"], resolved.sop.params)
     if (
@@ -416,8 +431,8 @@ def _pattern_codes(resolved: ResolvedPattern):
         or names["aop"] not in _AOP_CODES
     ):
         raise BackendError(
-            f"the jit backend has no compiled operators for pattern "
-            f"{resolved.name!r} (ops {names}); use backend='optimized' or 'auto'"
+            f"pattern {resolved.name!r} has operators outside the compiled "
+            f"opcode tables (ops {names}); use backend='optimized' or 'auto'"
         )
     alpha = float(resolved.sop.params.get("alpha", 1.0))
     return (

@@ -4,7 +4,7 @@ These experiments are not tables of the paper; they probe the design
 decisions the paper motivates qualitatively:
 
 * **backend ladder** — generic (Alg. 1) vs optimized (blocked) vs
-  specialized vs generated kernels on one problem, quantifying how much
+  specialized vs compiled kernels on one problem, quantifying how much
   each optimization level contributes (the paper's FusedMM vs FusedMMopt
   split, refined);
 * **block-size sweep** — sensitivity of the edge-blocked kernel to its
@@ -28,7 +28,7 @@ from ..core.fused import fusedmm, resolve_backend
 from ..core.optimized import fusedmm_edgeblocked, fusedmm_rowblocked
 from ..core.partition import part1d, partition_balance
 from ..core.patterns import get_pattern
-from ..errors import BackendError
+from ..errors import BackendError, CodegenError
 from ..graphs.datasets import load_dataset
 from ..graphs.generators import rmat
 from ..graphs.features import random_features
@@ -71,11 +71,11 @@ def run_backend_ladder(
         t = time_kernel(fn, A, X, X, pattern=pattern, repeats=repeats).mean
         rows.append({"backend": strategy, "seconds": t, "extrapolated": False})
 
-    for backend in ("generated", "specialized"):
+    for backend in ("compiled", "specialized"):
         try:
             _, kernel = resolve_backend(resolved, backend)
-        except BackendError:
-            continue
+        except (BackendError, CodegenError):
+            continue  # no compiler, or no kernel for this pattern
         t = time_kernel(kernel, A, X, X, repeats=repeats).mean
         rows.append({"backend": backend, "seconds": t, "extrapolated": False})
 

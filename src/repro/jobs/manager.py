@@ -443,6 +443,9 @@ class JobManager:
         )
         self._jobs: Dict[str, Job] = {}
         self._lock = threading.Lock()
+        # The job's thread and a caller (cancel, drain) may rewrite the
+        # same record at once through the same temp file.
+        self._persist_lock = threading.Lock()
         self._draining = False
         self.submitted = 0
         self.completed = 0
@@ -459,11 +462,12 @@ class JobManager:
     def _persist(self, job: Job) -> None:
         """Atomically rewrite the job's supervision record."""
         path = self._job_path(job.id)
-        path.mkdir(parents=True, exist_ok=True)
-        blob = json.dumps(job.describe(), indent=2).encode("utf-8")
-        temp = path / ".job.json.tmp"
-        temp.write_bytes(blob)
-        os.replace(temp, path / "job.json")
+        with self._persist_lock:
+            path.mkdir(parents=True, exist_ok=True)
+            blob = json.dumps(job.describe(), indent=2).encode("utf-8")
+            temp = path / ".job.json.tmp"
+            temp.write_bytes(blob)
+            os.replace(temp, path / "job.json")
 
     def _persist_result(self, job: Job) -> None:
         if job.output is None:

@@ -15,10 +15,13 @@ must agree on so the transports can never drift:
   the remote agent so a row executes through the *same* dispatch config
   whichever host it lands on.
 
-Determinism note: a run spec carries everything data-dependent the parent
-resolved (autotuned block size, the row/edge strategy choice), so rebuilt
-configs execute exactly the kernel a single-process call would — the
-bitwise-identity contract across shard counts extends across hosts.
+Determinism note: a run spec carries everything the parent resolved — the
+backend ``kind`` that runs (after ``auto`` resolution and any autotuned
+pin or demotion), the autotuned block size and the row/edge strategy — so
+rebuilt configs execute exactly the kernel a single-process call would:
+the bitwise-identity contract across shard counts extends across hosts.
+A worker that cannot run the shipped kind (no C compiler for
+``"compiled"``, say) fails the job instead of picking another kernel.
 """
 
 from __future__ import annotations
@@ -172,15 +175,18 @@ def plan_spec_from_plan(plan) -> Optional[Dict[str, object]]:
     """The picklable execution spec of a :class:`~repro.runtime.plan.KernelPlan`.
 
     Workers rebuild the dispatch config from this spec; the parent resolves
-    everything data-dependent (autotuned block size, the row/edge strategy
-    choice) *before* shipping, so every worker executes exactly the kernel a
-    single-process call would.  Returns ``None`` when the pattern cannot be
+    everything host- and data-dependent (the backend kind, autotuned block
+    size, the row/edge strategy choice) *before* shipping, so every worker
+    executes exactly the kernel a single-process call would.  ``backend``
+    (the requested name) rides along for ``auto``'s last-resort generic
+    fallback.  Returns ``None`` when the pattern cannot be
     pickled (user-supplied lambda operators) — callers fall back to
     in-process execution.
     """
     spec = {
         "op_pattern": plan.op_pattern,
         "backend": plan.backend,
+        "kind": plan.kind,
         "block_size": plan.block_size,
         "strategy": plan.strategy,
     }
@@ -211,6 +217,7 @@ def remote_spec_meta(spec: Optional[Dict[str, object]]) -> Optional[dict]:
     return {
         "pattern": {"name": pattern.name, **slots},
         "backend": spec["backend"],
+        "kind": spec["kind"],
         "block_size": spec["block_size"],
         "strategy": spec["strategy"],
     }
@@ -227,6 +234,7 @@ def spec_from_meta(meta: dict) -> Dict[str, object]:
     return {
         "op_pattern": op_pattern,
         "backend": str(meta["backend"]),
+        "kind": str(meta["kind"]),
         "block_size": None if block_size is None else int(block_size),
         "strategy": str(meta["strategy"]),
     }
@@ -236,7 +244,12 @@ def spec_from_meta(meta: dict) -> Dict[str, object]:
 # Worker-side config rebuild (shared by shm workers and remote agents)
 # ---------------------------------------------------------------------- #
 def build_worker_config(spec: Dict[str, object], *, num_threads: int = 1):
-    """Rebuild the dispatch config a run spec describes (worker side)."""
+    """Rebuild the dispatch config a run spec describes (worker side).
+
+    The shipped ``kind`` is resolved as an explicit backend, so a host
+    that cannot run it raises :class:`~repro.errors.BackendError` rather
+    than silently running a different kernel.
+    """
     from .plan import make_config
 
     op_pattern = spec["op_pattern"]
@@ -244,6 +257,7 @@ def build_worker_config(spec: Dict[str, object], *, num_threads: int = 1):
         op_pattern,
         op_pattern.resolved(),
         backend=spec["backend"],
+        kind=spec["kind"],
         block_size=spec["block_size"],
         strategy=spec["strategy"],
         num_threads=num_threads,
@@ -257,6 +271,7 @@ def config_cache_key(spec: Dict[str, object]) -> tuple:
     return (
         pattern_key(spec["op_pattern"].resolved()),
         spec["backend"],
+        spec["kind"],
         spec["block_size"],
         spec["strategy"],
     )

@@ -5,12 +5,12 @@ depend on the feature matrices:
 
 * the resolved operator pattern (Table III row or user overrides),
 * the chosen backend kind and concrete kernel callable, resolved by
-  :func:`repro.core.fused.resolve_backend` (jit → specialized → generated
+  :func:`repro.core.fused.resolve_backend` (compiled → jit → specialized
   → optimized → generic for ``auto``, the same walk
   :func:`repro.core.fused.fusedmm` makes),
 * the effective blocking strategy and edge-block size (autotuned once when
   requested, by :func:`repro.core.fused.autotune_backend`, which also pins
-  or demotes the jit tier),
+  or demotes the compiled tiers),
 * the nnz-balanced row partitioning of the bound adjacency,
 * the **locality tier** (``reorder=``): a vertex permutation of the bound
   adjacency (:mod:`repro.sparse.reorder`) plus pre-compacted cache-blocked
@@ -106,7 +106,7 @@ class KernelPlan:
     key: PlanKey
     op_pattern: OpPattern
     resolved: ResolvedPattern
-    #: "jit" | "specialized" | "generated" | "optimized" | "generic"
+    #: "compiled" | "jit" | "specialized" | "optimized" | "generic"
     kind: str
     #: requested backend ("auto" keeps the generic fallback of fusedmm())
     backend: str
@@ -121,7 +121,7 @@ class KernelPlan:
     #: number of split tasks the runtime schedules for this job
     nsplit: int = 1
     tuning: Optional[TuningResult] = None
-    #: concrete kernel callable for specialized/generated kinds
+    #: concrete kernel callable for compiled/jit/specialized kinds
     kernel: Optional[Callable] = None
     #: resolved locality strategy ("none" keeps the legacy bitwise path)
     reorder: str = "none"
@@ -400,6 +400,7 @@ def make_config(
     resolved: ResolvedPattern,
     *,
     backend: str = "auto",
+    kind: Optional[str] = None,
     block_size: Optional[int] = None,
     strategy: str = "auto",
     num_threads: int = 1,
@@ -410,8 +411,12 @@ def make_config(
     resolution and backend dispatch are still amortised (the config is
     cached per pattern/backend/blocking tuple), but no fingerprint is
     computed and the plan LRU is not churned by throwaway matrices.
+    ``kind`` pins the backend that runs (a worker rebuilding the parent's
+    resolved plan); it is resolved as an explicit backend, so it raises
+    rather than falls through, while ``backend`` keeps ``auto``'s generic
+    fallback.
     """
-    kind, kernel = resolve_backend(resolved, backend)
+    kind, kernel = resolve_backend(resolved, kind or backend)
     key = PlanKey(
         fingerprint="",
         pattern=pattern_key(resolved),

@@ -10,10 +10,23 @@ claims the module name).  Test modules import helpers from here;
 
 from __future__ import annotations
 
+import pytest
+
+from repro.core import BACKENDS, compiled_available
 from repro.graphs import random_features
 from repro.sparse import CSRMatrix
 
-__all__ = ["make_xy"]
+__all__ = ["make_xy", "needs_cc", "backend_params"]
+
+#: Marks a test that needs a C compiler (``$CC`` or ``cc`` on ``PATH``).
+needs_cc = pytest.mark.skipif(
+    not compiled_available(), reason="no C compiler found ($CC or cc on PATH)"
+)
+
+
+def backend_params(backends=BACKENDS):
+    """``backends`` as pytest params; ``compiled`` skips without a compiler."""
+    return [pytest.param(b, marks=needs_cc) if b == "compiled" else b for b in backends]
 
 
 def make_xy(A: CSRMatrix, d: int, seed: int = 0):

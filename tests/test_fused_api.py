@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro import FusedMM, fusedmm
-from repro.core import BACKENDS
+from repro.core import BACKENDS, compiled_available
 from repro.core.fused import _Plan  # noqa: F401 - ensure private import works
 from repro.errors import BackendError
 from repro.sparse import random_csr
-from _helpers import make_xy
+from _helpers import backend_params, make_xy
 
 
 @pytest.fixture(scope="module")
@@ -21,15 +21,15 @@ def problem():
 def test_all_backends_listed():
     assert set(BACKENDS) == {
         "auto",
+        "compiled",
         "jit",
         "generic",
         "optimized",
         "specialized",
-        "generated",
     }
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", backend_params())
 def test_every_backend_runs_embedding(problem, backend):
     A, X, Y = problem
     Z = fusedmm(A, X, Y, pattern="sigmoid_embedding", backend=backend)
@@ -50,13 +50,15 @@ def test_specialized_backend_requires_known_pattern(problem):
 
 
 def test_generated_backend_requires_templates(problem):
+    """The compiled backend emits only registry operators: a user operator
+    is refused (with or without a compiler on the host)."""
     from repro.core import make_mlp_vop
     from repro.graphs.features import xavier_init
 
     A, X, Y = problem
     mlp = make_mlp_vop(xavier_init(32, 16, seed=0))
     with pytest.raises(BackendError):
-        fusedmm(A, X, Y, pattern="gnn_mlp", vop=mlp, backend="generated")
+        fusedmm(A, X, Y, pattern="gnn_mlp", vop=mlp, backend="compiled")
 
 
 def test_auto_falls_back_for_user_ops(problem):
@@ -88,7 +90,8 @@ def test_accepts_scipy_and_dense_inputs(problem):
     from repro.runtime import KernelRuntime
 
     with KernelRuntime(num_threads=1) as rt:
-        for backend in ("auto", "jit", "specialized", "generated"):
+        backends = ("auto", "jit", "specialized") + ("compiled",) * compiled_available()
+        for backend in backends:
             for pattern in ("gcn", "spmm"):
                 opts = dict(pattern=pattern, backend=backend)
                 ref = fusedmm(A, Y, Y, **opts)
@@ -137,7 +140,13 @@ def test_fusedmm_class_autotune(problem):
     kernel = FusedMM(A, pattern="sigmoid_embedding", autotune=True, autotune_dim=8)
     info = kernel.describe()
     assert "tuning" in info
-    assert kernel.plan.strategy in ("row", "edge")
+    # A NumPy winner keeps its blocking strategy; a compiled tier that wins
+    # the sweep is pinned and has none.
+    won = kernel.plan.tuning.strategy
+    if won in ("row", "edge"):
+        assert kernel.plan.strategy == won
+    else:
+        assert (kernel.plan.kind, kernel.plan.strategy) == (won, "auto")
     Z = kernel(X, Y)
     assert np.allclose(Z, fusedmm(A, X, Y, pattern="sigmoid_embedding"), atol=1e-4)
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import BACKENDS, fusedmm
+from repro.core import BACKENDS, compiled_available, fusedmm
 from repro.core.generic import fusedmm_generic
 from repro.core.jit import (
     fusedmm_jit,
@@ -26,7 +26,7 @@ from repro.core.patterns import get_pattern
 from repro.errors import BackendError, ShapeError
 from repro.runtime import KernelRuntime
 from repro.sparse import COOMatrix, CSRMatrix, random_csr
-from _helpers import make_xy
+from _helpers import backend_params, make_xy
 
 settings.register_profile("repro-jit", deadline=None, max_examples=25)
 settings.load_profile("repro-jit")
@@ -147,7 +147,7 @@ def test_out_slab_matches_plain_call_for_every_backend(problem, pattern):
 # ---------------------------------------------------------------------- #
 # out=/row_offset= validation and windowed writes
 # ---------------------------------------------------------------------- #
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", backend_params())
 def test_windowed_out_writes_only_the_window(problem, backend):
     A, X, Y = problem
     ref = fusedmm(A, X, Y, pattern="sigmoid_embedding", backend=backend)
@@ -215,7 +215,9 @@ def test_plan_kind_jit_and_spmm_without_x(problem):
 def test_plan_execute_out_matches(problem):
     A, X, Y = problem
     rt = KernelRuntime(num_threads=1)
-    for backend in ("jit", "optimized", "specialized", "generated"):
+    backends = ("jit", "optimized", "specialized")
+    backends += ("compiled",) * compiled_available()
+    for backend in backends:
         plan = rt.plan(A, pattern="sigmoid_embedding", backend=backend)
         ref = plan.execute(A, X, Y)
         out = np.full_like(ref, np.nan)
@@ -270,6 +272,7 @@ def test_auto_falls_back_when_numba_unavailable(problem, monkeypatch):
 
     A, X, Y = problem
     monkeypatch.setattr(jitmod, "NUMBA_AVAILABLE", False)
+    monkeypatch.setenv("CC", "/nonexistent/cc")  # no compiled tier either
     assert jitmod.jit_available() is False
     resolved = get_pattern("sigmoid_embedding").resolved()
     kind, kernel = resolve_backend(resolved, "auto")

@@ -258,6 +258,40 @@ def test_manager_cancel_running_job_checkpoints_and_accounts(tmp_path):
         manager.close()
 
 
+def test_concurrent_record_rewrites_never_collide(tmp_path):
+    """The job's thread and a cancelling caller rewrite the same job.json
+    through one temp file; concurrent rewrites must all land."""
+    import sys
+
+    gate = threading.Event()
+    manager = JobManager(tmp_path, max_active=1, app_factory=_fake_factory(gate))
+    errors = []
+    interval = sys.getswitchinterval()
+    try:
+        job_id = manager.submit(_spec(epochs=1))
+        job = manager._jobs[job_id]
+
+        def rewrite():
+            try:
+                for _ in range(200):
+                    manager._persist(job)
+            except Exception as exc:  # noqa: BLE001 - collected for the assert
+                errors.append(exc)
+
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=rewrite) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+    finally:
+        sys.setswitchinterval(interval)
+        gate.set()
+        manager.close()
+
+
 def test_manager_requeues_crashed_job_and_result_stays_bitwise(tmp_path):
     spec = _spec(epochs=4)
     reference = run_training(spec).output

@@ -2,8 +2,8 @@
 
 For every application pattern of Table III and a variety of graph shapes,
 all kernel backends (reference Algorithm 1, row-blocked, edge-blocked,
-specialized, generated) and the unfused SDDMM→SpMM pipeline must produce
-the same output up to floating-point tolerance.
+specialized, compiled C, jit) and the unfused SDDMM→SpMM pipeline must
+produce the same output up to floating-point tolerance.
 """
 
 import numpy as np
@@ -11,17 +11,18 @@ import pytest
 
 from repro.baselines import unfused_fusedmm
 from repro.core import (
-    compile_kernel,
+    compiled_available,
     fusedmm,
     fusedmm_edgeblocked,
     fusedmm_generic,
     fusedmm_rowblocked,
     get_pattern,
     get_specialized_kernel,
-    supports_pattern,
 )
+from repro.core.compiled import compiled_supports_pattern, get_compiled_kernel
+from repro.errors import BackendError
 from repro.sparse import random_bipartite, random_csr
-from _helpers import make_xy
+from _helpers import backend_params, make_xy, needs_cc
 
 PATTERNS = ["sigmoid_embedding", "fr_layout", "gcn", "spmm", "sddmm_dot"]
 ATOL = 1e-3
@@ -57,12 +58,13 @@ def test_edgeblocked_matches_generic(square_problem, pattern):
     assert np.allclose(out, ref, atol=ATOL)
 
 
+@needs_cc
 @pytest.mark.parametrize("pattern", PATTERNS)
 def test_generated_matches_generic(square_problem, pattern):
     A, X, Y = square_problem
     resolved = get_pattern(pattern).resolved()
-    assert supports_pattern(resolved)
-    kernel = compile_kernel(resolved)
+    assert compiled_supports_pattern(resolved)
+    kernel = get_compiled_kernel(resolved)
     ref = fusedmm_generic(A, X, Y, pattern=pattern)
     assert np.allclose(kernel(A, X, Y, block_size=128), ref, atol=ATOL)
 
@@ -89,7 +91,7 @@ def test_unfused_pipeline_matches_generic(square_problem, pattern):
 def test_rectangular_operands_all_backends(rect_problem, pattern):
     A, X, Y = rect_problem
     ref = fusedmm_generic(A, X, Y, pattern=pattern)
-    for backend in ["optimized", "auto", "generated"]:
+    for backend in ["optimized", "auto"] + ["compiled"] * compiled_available():
         out = fusedmm(A, X, Y, pattern=pattern, backend=backend)
         assert np.allclose(out, ref, atol=ATOL), backend
     assert np.allclose(unfused_fusedmm(A, X, Y, pattern=pattern), ref, atol=ATOL)
@@ -103,7 +105,8 @@ def test_empty_rows_are_zero(pattern):
     X, Y = make_xy(A, 8, seed=0)
     empty_rows = A.row_degrees() == 0
     assert empty_rows.any(), "fixture should contain empty rows"
-    for backend in ["generic", "optimized", "auto", "generated"]:
+    backends = ["generic", "optimized", "auto"] + ["compiled"] * compiled_available()
+    for backend in backends:
         Z = fusedmm(A, X, Y, pattern=pattern, backend=backend)
         assert np.allclose(Z[empty_rows], 0.0), backend
 
@@ -160,3 +163,72 @@ def test_block_size_does_not_change_result(square_problem):
     for block in (1, 16, 1024, 10**6):
         out = fusedmm_edgeblocked(A, X, Y, pattern="sigmoid_embedding", block_size=block)
         assert np.allclose(out, ref, atol=1e-5)
+
+
+# ------------------------------------------------------------------ #
+# Numerics contract: every backend against the generic oracle
+# ------------------------------------------------------------------ #
+def _numerics_cases():
+    """``id -> (A, X, Y, patterns)`` edge-case inputs."""
+    import scipy.sparse as sp
+
+    cases = {}
+    # Empty rows and isolated vertices (columns nobody points at).
+    A = random_csr(50, 50, density=0.02, seed=9)
+    assert (A.row_degrees() == 0).any()
+    assert np.setdiff1d(np.arange(50), A.indices).size
+    X, Y = make_xy(A, 8, seed=0)
+    cases["empty_rows"] = (A, X, Y, PATTERNS + ["gnn_mlp"])
+    # Sigmoid scores at and past the clamp: x_u . y_0 == t exactly.
+    scores = np.array([60.0, -60.0, 61.0, -61.0, np.inf, -np.inf, 0.0])
+    X = np.zeros((scores.size, 3), dtype=np.float32)
+    X[:, 0] = scores
+    Y = np.array([[1.0, 0.0, 0.0], [0.5, 0.25, 2.0]], dtype=np.float32)
+    A = sp.csr_matrix(
+        (np.ones(scores.size), (np.arange(scores.size), np.zeros(scores.size, int))),
+        shape=(scores.size, 2),
+    )
+    cases["sigmoid_clamp"] = (A, X, Y, ["sigmoid_embedding"])
+    # NaN in X: Y = X, so NaN reaches both sides of the dot product.
+    A = random_csr(60, 60, density=0.08, seed=12)
+    X, _ = make_xy(A, 8, seed=3)
+    X = X.copy()
+    X[[3, 17], [1, 5]] = np.nan
+    cases["nan"] = (A, X, X, ["sigmoid_embedding", "fr_layout", "gcn", "gnn_mlp"])
+    # int32 indices (scipy's default) and a float64 operand.
+    A = random_csr(40, 40, density=0.1, seed=4).to_scipy()
+    A = sp.csr_matrix(
+        (A.data, A.indices.astype(np.int32), A.indptr.astype(np.int32)), shape=A.shape
+    )
+    X = np.random.default_rng(1).standard_normal((40, 6))
+    cases["int32_indices"] = (A, X, X, PATTERNS)
+    # Non-contiguous and Fortran-ordered operands.
+    A = random_csr(30, 45, density=0.1, seed=6)
+    rng = np.random.default_rng(2)
+    X = rng.standard_normal((30, 14)).astype(np.float32)[:, ::2]
+    Y = np.asfortranarray(rng.standard_normal((45, 7)).astype(np.float32))
+    cases["strided_fortran"] = (A, X, Y, PATTERNS)
+    return cases
+
+
+NUMERICS_CASES = _numerics_cases()
+
+
+@pytest.mark.parametrize("case", sorted(NUMERICS_CASES))
+@pytest.mark.parametrize("backend", backend_params())
+def test_numerics_contract(backend, case):
+    """Every backend matches the generic oracle (rtol 1e-4) on the edge
+    cases, with NaN in exactly the same places; a backend may only refuse
+    a pattern it has no kernel for."""
+    A, X, Y, patterns = NUMERICS_CASES[case]
+    for pattern in patterns:
+        ref = fusedmm(A, X, Y, pattern=pattern, backend="generic")
+        try:
+            Z = fusedmm(A, X, Y, pattern=pattern, backend=backend)
+        except BackendError:
+            assert backend == "specialized", pattern
+            continue
+        assert Z.shape == ref.shape and Z.dtype == ref.dtype, pattern
+        np.testing.assert_allclose(
+            Z, ref, rtol=1e-4, atol=1e-6, equal_nan=True, err_msg=pattern
+        )

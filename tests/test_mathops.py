@@ -33,19 +33,17 @@ def test_sigmoid_scalar_matches_array_form():
 
 
 def test_sigmoid_is_the_single_definition_used_by_the_backends():
-    """The registry SIGMOID, the specialized kernel and the codegen
-    templates all resolve to the one shared implementation — the clamp
-    bounds cannot drift between backends."""
+    """The registry SIGMOID and the specialized kernel resolve to the one
+    shared implementation, and the C generator emits its clamp from the
+    same constant — the clamp bounds cannot drift between backends."""
     import repro.core.specialized as specialized
-    from repro.core.codegen import compile_kernel
+    from repro.core.compiled import generate_kernel_source
     from repro.core.operators import get_op
+    from repro.core.patterns import get_pattern
 
     x = np.array([-70.0, -1.0, 0.0, 1.0, 70.0])
     assert np.allclose(get_op("SIGMOID").batch_fn(x), sigmoid(x))
     assert specialized._sigmoid is sigmoid
-    kernel = compile_kernel(
-        __import__("repro.core.patterns", fromlist=["get_pattern"])
-        .get_pattern("sigmoid_embedding")
-        .resolved()
-    )
-    assert "sigmoid(" in kernel.source
+    source = generate_kernel_source(get_pattern("sigmoid_embedding").resolved())
+    assert f"#define FMM_SIGMOID_CLAMP {float(SIGMOID_CLAMP)!r}" in source
+    assert "fmm_sigmoid(" in source

@@ -1,17 +1,18 @@
 """Additional coverage tests for paths not exercised elsewhere: the scaled
-generic-timing path of the harness, dataset seed overrides, codegen edge
-cases, and the measured-allocation ordering behind Fig. 10(b)."""
+generic-timing path of the harness, dataset seed overrides, C code
+generator edge cases, and the measured-allocation ordering behind Fig. 10(b)."""
 
 import numpy as np
 
 from repro.baselines import unfused_fusedmm
 from repro.bench.harness import GENERIC_TIMING_MAX_NNZ, compare_kernels
-from repro.core import compile_kernel, fusedmm_generic, get_pattern, supports_pattern
+from repro.core import compiled_supports_pattern, fusedmm_generic, get_pattern
+from repro.core.compiled import get_compiled_kernel
 from repro.core.specialized import fr_layout_kernel
 from repro.graphs import load_dataset, random_features, rmat
 from repro.perf import measure_peak_allocation
 from repro.sparse import random_csr
-from _helpers import make_xy
+from _helpers import make_xy, needs_cc
 
 
 def test_compare_kernels_scales_generic_on_large_graphs():
@@ -33,22 +34,24 @@ def test_load_dataset_seed_override_changes_graph():
     assert abs(a.adjacency.avg_degree() - b.adjacency.avg_degree()) < 2.0
 
 
+@needs_cc
 def test_codegen_edgescale_vop_pattern():
     pattern = get_pattern(None, vop="EDGESCALE", rop="RSUM", sop="TANH", mop="MUL", aop="ASUM")
     resolved = pattern.resolved()
-    assert supports_pattern(resolved)
+    assert compiled_supports_pattern(resolved)
     A = random_csr(40, 40, density=0.1, seed=3, value_range=(0.5, 1.5))
     X, Y = make_xy(A, 6, seed=0)
-    kernel = compile_kernel(resolved)
+    kernel = get_compiled_kernel(resolved)
     assert np.allclose(kernel(A, X, Y), fusedmm_generic(A, X, Y, pattern=pattern), atol=1e-3)
 
 
+@needs_cc
 def test_codegen_add_rsum_fused_template():
     pattern = get_pattern(None, vop="ADD", rop="RSUM", sop="SCAL", mop="MUL", aop="ASUM")
     resolved = pattern.resolved()
     A = random_csr(30, 30, density=0.12, seed=4)
     X, Y = make_xy(A, 5, seed=1)
-    kernel = compile_kernel(resolved)
+    kernel = get_compiled_kernel(resolved)
     assert np.allclose(kernel(A, X, Y), fusedmm_generic(A, X, Y, pattern=pattern), atol=1e-3)
 
 

@@ -14,12 +14,13 @@ from repro.core import (
     fusedmm_edgeblocked,
     fusedmm_generic,
     fusedmm_rowblocked,
-    compile_kernel,
+    compiled_supports_pattern,
     get_pattern,
-    supports_pattern,
 )
+from repro.core.compiled import get_compiled_kernel
 from repro.runtime import KernelRequest, KernelRuntime
 from repro.sparse import COOMatrix, CSRMatrix
+from _helpers import needs_cc
 
 settings.register_profile("repro-kernels", deadline=None, max_examples=25)
 settings.load_profile("repro-kernels")
@@ -66,12 +67,13 @@ def test_fused_equals_unfused_pipeline(problem, pattern):
     assert np.allclose(fused, unfused, atol=ATOL)
 
 
+@needs_cc
 @given(problems(), PATTERN_NAMES)
 def test_generated_kernel_matches_reference(problem, pattern):
     A, X, Y = problem
     resolved = get_pattern(pattern).resolved()
-    assert supports_pattern(resolved)
-    kernel = compile_kernel(resolved)
+    assert compiled_supports_pattern(resolved)
+    kernel = get_compiled_kernel(resolved)
     ref = fusedmm_generic(A, X, Y, pattern=pattern)
     assert np.allclose(kernel(A, X, Y, block_size=7), ref, atol=ATOL)
 

@@ -636,6 +636,7 @@ def test_spec_meta_roundtrip(problem):
         assert meta is not None
         rebuilt = spec_from_meta(meta)
         assert rebuilt["backend"] == spec["backend"]
+        assert rebuilt["kind"] == spec["kind"] == plan.kind
         assert rebuilt["block_size"] == spec["block_size"]
         assert rebuilt["strategy"] == spec["strategy"]
         assert rebuilt["op_pattern"].resolved().op_names() == spec[

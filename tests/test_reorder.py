@@ -37,7 +37,7 @@ from repro.sparse import (
     reorder_permutation,
 )
 
-from _helpers import make_xy
+from _helpers import backend_params, make_xy
 
 PATTERNS = ["sigmoid_embedding", "fr_layout", "gcn"]
 CONCRETE = [s for s in REORDER_STRATEGIES if s != "none"]
@@ -204,7 +204,7 @@ def test_reordered_run_allclose_across_patterns(graph, pattern, strategy):
 
 
 @pytest.mark.parametrize(
-    "backend", ["optimized", "specialized", "generated", "jit"]
+    "backend", backend_params(["optimized", "specialized", "compiled", "jit"])
 )
 def test_reordered_run_allclose_across_backends(graph, backend):
     A, X = graph

@@ -28,7 +28,7 @@ from repro.graphs import random_features, rmat
 from repro.runtime import KernelRuntime, WorkerPool, assign_shards
 from repro.sparse import random_csr
 
-from _helpers import make_xy
+from _helpers import make_xy, needs_cc
 
 PATTERNS = ["sigmoid_embedding", "fr_layout", "gcn", "spmm"]
 
@@ -155,6 +155,54 @@ def test_run_sharded_rectangular(medium_problem):
         assert np.array_equal(
             rt.run_sharded(A, X, Y, pattern="sigmoid_embedding"), ref
         )
+
+
+@needs_cc
+def test_workers_run_the_parents_demoted_kind(medium_problem, monkeypatch):
+    """A plan whose sweep demoted auto's compiled tier ships that decision:
+    workers run the same specialized kernel instead of re-resolving auto
+    (which would pick compiled here), so the sharded result is bitwise the
+    in-process one."""
+    import repro.core.fused as fused_mod
+    from repro.core.autotune import TuningResult
+    from repro.runtime.codec import plan_spec_from_plan
+
+    def numpy_wins(*args, **kwargs):
+        return TuningResult(strategy="row", block_size=8192, best_time=0.0)
+
+    monkeypatch.setattr(fused_mod, "autotune", numpy_wins)
+    A, X = medium_problem
+    with KernelRuntime(num_threads=1, processes=2, autotune=True) as rt:
+        plan = rt.plan(A)
+        assert plan.kind == "specialized"
+        assert plan_spec_from_plan(plan)["kind"] == "specialized"
+        ref = plan.execute(A, X, X)
+        assert not np.array_equal(fusedmm(A, X, X), ref)  # auto -> compiled
+        assert np.array_equal(rt.run_sharded(A, X), ref)
+
+
+def test_worker_refuses_a_kind_it_cannot_run(monkeypatch):
+    """A host without a C compiler fails a job shipped as kind="compiled"
+    loudly instead of running another kernel."""
+    from repro.core.compiled import clear_kernel_cache
+    from repro.core.patterns import get_pattern
+    from repro.errors import BackendError
+    from repro.runtime.codec import build_worker_config
+
+    spec = {
+        "op_pattern": get_pattern("sigmoid_embedding"),
+        "backend": "auto",
+        "kind": "compiled",
+        "block_size": None,
+        "strategy": "auto",
+    }
+    monkeypatch.setenv("CC", "/nonexistent/cc")
+    clear_kernel_cache()
+    try:
+        with pytest.raises(BackendError):
+            build_worker_config(spec)
+    finally:
+        clear_kernel_cache()
 
 
 def test_submit_sharded_returns_future(medium_problem):

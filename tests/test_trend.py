@@ -153,6 +153,50 @@ def test_cli_bench_compare_exit_codes(tmp_path, capsys):
     assert "regressed" in out
 
 
+def test_records_describe_the_host():
+    from repro.bench.record import bench_environment
+    from repro.core.compiled import compiler_description
+
+    env = bench_environment()
+    assert {"cpus", "numba", "compiler"} <= set(env)
+    assert env["compiler"] == compiler_description()
+    if env["compiler"] is not None:
+        assert set(env["compiler"]) == {"path", "version"}
+
+
+@pytest.mark.parametrize(
+    "key, other", [("cpus", 999), ("numba", "0.0"), ("compiler", None)]
+)
+def test_cli_bench_compare_refuses_across_hosts(tmp_path, capsys, key, other):
+    """Records from hosts differing in CPUs, numba or the compiler are
+    refused with exit code 3; the same host compares as usual."""
+    import json
+
+    from repro.bench.trend import EXIT_HOST_MISMATCH
+    from repro.cli import main
+
+    base = record_benchmark("a", _record(1.0, 10.0)["rows"], path=tmp_path / "a.json")
+    same = record_benchmark("a", _record(1.0, 10.0)["rows"], path=tmp_path / "b.json")
+    payload = json.loads(same.read_text())
+    if payload["environment"][key] == other:
+        other = "something else"
+    payload["environment"][key] = other
+    moved = tmp_path / "c.json"
+    moved.write_text(json.dumps(payload))
+    assert main(["bench", "compare", str(base), str(same)]) == 0
+    capsys.readouterr()
+    assert main(["bench", "compare", str(base), str(moved)]) == EXIT_HOST_MISMATCH
+    out = capsys.readouterr().out
+    assert "refusing to compare across hosts" in out and key in out
+    assert not compare_paths(base, moved).ok
+    # Report-only mode still says so, but does not fail the job.
+    assert main(["bench", "compare", str(base), str(moved), "--no-fail"]) == 0
+    # A record that predates a key is judged on the keys both carry.
+    del payload["environment"][key]
+    moved.write_text(json.dumps(payload))
+    assert main(["bench", "compare", str(base), str(moved)]) == 0
+
+
 def test_jsonable_rows_round_trip(tmp_path):
     """Records written by record_benchmark feed straight into the trend
     comparison (numpy scalars and all)."""
