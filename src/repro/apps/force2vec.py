@@ -12,10 +12,16 @@ The per-batch gradient decomposes into
 Both terms are exactly the sigmoid-embedding FusedMM pattern (Table III
 row 2): the attractive term on the batch rows of the adjacency matrix, the
 repulsive term on a small synthetic adjacency whose rows hold the sampled
-negatives.  The trainer therefore spends essentially all its time inside
-the kernel under study, which is what makes the end-to-end comparison of
-Table VIII a kernel comparison in disguise — the paper's 25–45× speedups
-over DGL/PyTorch come from swapping this kernel.
+negatives.  The paper's 25–45× speedups over DGL/PyTorch (Table VIII)
+come from swapping this kernel; the rest of an epoch (row slicing,
+sampling, clipping, the update) is app-layer work shared by every
+backend.  Measured with perfbench's traced ``force2vec_train`` workload
+(compiled kernels, 2 vCPUs, no numba), the kernel calls' share of an
+epoch (``core.op_share``) is 0.45; it was 0.27 while every minibatch
+re-copied the whole embedding matrix to float32, sliced its rows in a
+Python loop and rebuilt the sampler's CDF.  :meth:`Force2Vec.train_epoch`
+therefore keeps one float32 copy per epoch and refreshes only the
+updated rows.
 
 The ``backend`` knob selects which kernel implementation performs the work:
 
@@ -94,6 +100,7 @@ class EpochStats:
 
     epoch: int
     seconds: float
+    #: the part of ``seconds`` spent inside the kernel calls
     kernel_seconds: float
     num_batches: int
     loss: Optional[float] = None
@@ -127,6 +134,8 @@ class Force2Vec:
             degrees=self.adjacency.row_degrees(),
             seed=self.config.seed + 7,
         )
+        #: seconds spent in kernel calls since the current epoch began
+        self._kernel_seconds = 0.0
         # The adjacency is fixed across all epochs; bind the two kernel
         # patterns of the gradient (sigmoid aggregation + plain SpMM) to
         # cached plans once and stream every minibatch through them.  With
@@ -158,38 +167,54 @@ class Force2Vec:
     # ------------------------------------------------------------------ #
     def _sigmoid_aggregate(self, A: CSRMatrix, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """``Σ_v σ(x_u·y_v) y_v`` with the configured backend."""
+        t0 = time.perf_counter()
         backend = self.config.backend
         if backend == "fused":
-            return self._sig_stream.run_on(A, X, Y)
-        if backend == "fused_generic":
-            return fusedmm(A, X, Y, pattern="sigmoid_embedding", backend="generic")
-        if backend == "unfused":
-            return unfused_fusedmm(A, X, Y, pattern="sigmoid_embedding")
-        if backend == "dense":
-            return dense_sigmoid_embedding(A, X, Y)
-        raise BackendError(f"unknown backend {backend!r}")  # pragma: no cover
+            out = self._sig_stream.run_on(A, X, Y)
+        elif backend == "fused_generic":
+            out = fusedmm(A, X, Y, pattern="sigmoid_embedding", backend="generic")
+        elif backend == "unfused":
+            out = unfused_fusedmm(A, X, Y, pattern="sigmoid_embedding")
+        elif backend == "dense":
+            out = dense_sigmoid_embedding(A, X, Y)
+        else:  # pragma: no cover
+            raise BackendError(f"unknown backend {backend!r}")
+        self._kernel_seconds += time.perf_counter() - t0
+        return out
 
     def _plain_aggregate(self, A: CSRMatrix, Y: np.ndarray) -> np.ndarray:
         """``Σ_v a_uv y_v`` (plain SpMM) with the configured backend."""
+        t0 = time.perf_counter()
         backend = self.config.backend
         if backend in ("fused", "fused_generic"):
-            return self._agg_stream.run_on(A, None, Y)
-        if backend == "unfused":
+            out = self._agg_stream.run_on(A, None, Y)
+        elif backend == "unfused":
             X_dummy = np.zeros((A.nrows, Y.shape[1]), dtype=Y.dtype)
-            return unfused_fusedmm(A, X_dummy, Y, pattern="gcn")
-        if backend == "dense":
-            return dense_spmm(A, Y)
-        raise BackendError(f"unknown backend {backend!r}")  # pragma: no cover
+            out = unfused_fusedmm(A, X_dummy, Y, pattern="gcn")
+        elif backend == "dense":
+            out = dense_spmm(A, Y)
+        else:  # pragma: no cover
+            raise BackendError(f"unknown backend {backend!r}")
+        self._kernel_seconds += time.perf_counter() - t0
+        return out
 
     # ------------------------------------------------------------------ #
     # Training
     # ------------------------------------------------------------------ #
-    def _batch_gradient(self, batch: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Gradient of the Force2Vec objective for one vertex minibatch."""
+    def _batch_gradient(
+        self,
+        batch: np.ndarray,
+        rng: np.random.Generator,
+        Y: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Gradient of the Force2Vec objective for one vertex minibatch.
+
+        ``Y`` is the float32 copy of the embeddings the kernels read;
+        :meth:`train_epoch` keeps one per epoch, a lone call builds it."""
         cfg = self.config
-        X = self.embeddings
-        Xb = X[batch].astype(np.float32)
-        Y = X.astype(np.float32)
+        if Y is None:
+            Y = self.embeddings.astype(np.float32)
+        Xb = Y[batch]
 
         # Attractive term over real edges: (σ(s) - 1) x_v summed over N(u).
         A_batch = self.adjacency.select_rows(batch)
@@ -236,20 +261,21 @@ class Force2Vec:
         cfg = self.config
         rng = np.random.default_rng(cfg.seed + epoch)
         t_epoch = time.perf_counter()
-        kernel_time = 0.0
+        self._kernel_seconds = 0.0
         num_batches = 0
+        # One float32 copy per epoch; each update refreshes only its rows.
+        Y = self.embeddings.astype(np.float32)
         for batch in minibatch_indices(
             self.graph.num_vertices, cfg.batch_size, seed=cfg.seed + epoch
         ):
-            t0 = time.perf_counter()
-            grad = self._batch_gradient(batch, rng)
-            kernel_time += time.perf_counter() - t0
+            grad = self._batch_gradient(batch, rng, Y)
             self.embeddings[batch] -= cfg.learning_rate * grad
+            Y[batch] = self.embeddings[batch]
             num_batches += 1
         stats = EpochStats(
             epoch=epoch,
             seconds=time.perf_counter() - t_epoch,
-            kernel_seconds=kernel_time,
+            kernel_seconds=self._kernel_seconds,
             num_batches=num_batches,
         )
         self.history.append(stats)

@@ -75,6 +75,8 @@ class Verse:
             graph.num_vertices, self.config.dim, seed=self.config.seed
         ).astype(np.float64)
         self._sampler = NegativeSampler(graph.num_vertices, seed=self.config.seed + 13)
+        #: seconds spent in kernel calls since the current epoch began
+        self._kernel_seconds = 0.0
         # Plans for the similarity distribution are resolved once and
         # streamed: minibatch row slices and sampled noise matrices run
         # through the cached plans via ``run_on`` (and through the sharded
@@ -100,16 +102,30 @@ class Verse:
         )
         self.history: List[EpochStats] = []
 
-    def _batch_gradient(self, batch: np.ndarray) -> np.ndarray:
+    def _run(
+        self, stream, A: CSRMatrix, X: Optional[np.ndarray], Y: np.ndarray
+    ) -> np.ndarray:
+        """One kernel call, its time added to the epoch's kernel seconds."""
+        t0 = time.perf_counter()
+        out = stream.run_on(A, X, Y)
+        self._kernel_seconds += time.perf_counter() - t0
+        return out
+
+    def _batch_gradient(
+        self, batch: np.ndarray, Y: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Gradient for one vertex minibatch; ``Y`` is the float32 copy of
+        the embeddings (:meth:`train_epoch` keeps one per epoch, a lone
+        call builds it)."""
         cfg = self.config
-        X = self.embeddings
-        Xb = X[batch].astype(np.float32)
-        Y = X.astype(np.float32)
+        if Y is None:
+            Y = self.embeddings.astype(np.float32)
+        Xb = Y[batch]
 
         # Positive part: pull towards similarity-weighted neighbours.
         S_batch = self.similarity.select_rows(batch)
-        sig_pos = self._sig_stream.run_on(S_batch, Xb, Y)
-        target_pos = self._agg_stream.run_on(S_batch, None, Y)
+        sig_pos = self._run(self._sig_stream, S_batch, Xb, Y)
+        target_pos = self._run(self._agg_stream, S_batch, None, Y)
         grad = sig_pos.astype(np.float64) - target_pos.astype(np.float64)
 
         # Noise part: push away from sampled noise vertices.
@@ -129,27 +145,28 @@ class Verse:
                 np.ones(negs.size, dtype=np.float32),
                 check=False,
             )
-            grad += self._sig_stream.run_on(A_neg, Xb, Y).astype(np.float64)
+            grad += self._run(self._sig_stream, A_neg, Xb, Y).astype(np.float64)
         return grad
 
     def train_epoch(self, epoch: int = 0) -> EpochStats:
         """One pass over all vertices in shuffled minibatches."""
         cfg = self.config
         t0 = time.perf_counter()
-        kernel_time = 0.0
+        self._kernel_seconds = 0.0
         num_batches = 0
+        # One float32 copy per epoch; each update refreshes only its rows.
+        Y = self.embeddings.astype(np.float32)
         for batch in minibatch_indices(
             self.graph.num_vertices, cfg.batch_size, seed=cfg.seed + epoch
         ):
-            t_k = time.perf_counter()
-            grad = self._batch_gradient(batch)
-            kernel_time += time.perf_counter() - t_k
+            grad = self._batch_gradient(batch, Y)
             self.embeddings[batch] -= cfg.learning_rate * grad
+            Y[batch] = self.embeddings[batch]
             num_batches += 1
         stats = EpochStats(
             epoch=epoch,
             seconds=time.perf_counter() - t0,
-            kernel_seconds=kernel_time,
+            kernel_seconds=self._kernel_seconds,
             num_batches=num_batches,
         )
         self.history.append(stats)

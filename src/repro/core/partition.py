@@ -86,6 +86,9 @@ def part1d(A: CSRMatrix | np.ndarray, num_parts: int) -> List[RowPartition]:
         raise PartitionError(f"num_parts must be positive, got {num_parts}")
 
     m = indptr.shape[0] - 1
+    if num_parts == 1:
+        # Every single-thread kernel call lands here; skip the scan.
+        return [RowPartition(start=0, stop=m, nnz=int(indptr[m] - indptr[0]))]
     total_nnz = int(indptr[-1])
 
     # Target cumulative nnz at each partition boundary.

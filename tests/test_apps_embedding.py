@@ -1,6 +1,8 @@
 """Unit tests for the embedding applications (Force2Vec, VERSE, sampling,
 classification)."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,26 @@ def test_negative_sampler_uniform_and_biased():
     biased = NegativeSampler(50, degrees=degrees, seed=0)
     samples = biased.sample(500)
     assert (samples == 7).mean() > 0.5
+
+
+def test_negative_sampler_stream_equals_generator_choice():
+    """The cached-CDF draw is bitwise ``Generator.choice(p=...)``, across
+    successive calls and across a get_state/set_state round trip."""
+    degrees = np.random.default_rng(1).integers(0, 40, size=300)
+    weights = np.power(np.maximum(degrees.astype(np.float64), 1e-12), 0.75)
+    probs = weights / weights.sum()
+    sampler = NegativeSampler(300, degrees=degrees, seed=9)
+    reference = np.random.default_rng(9)
+    for size in (1280, 7, 1):
+        drawn = sampler.sample(size)
+        assert drawn.dtype == np.int64
+        assert np.array_equal(drawn, reference.choice(300, size, p=probs))
+    state = sampler.get_state()
+    expected = reference.choice(300, 64 * 5, p=probs).reshape(64, 5)
+    assert np.array_equal(sampler.sample((64, 5)), expected)
+    resumed = NegativeSampler(300, degrees=degrees, seed=123)
+    resumed.set_state(state)
+    assert np.array_equal(resumed.sample((64, 5)), expected)
 
 
 def test_negative_sampler_validation():
@@ -217,3 +239,61 @@ def test_verse_requires_square_adjacency():
     A = random_csr(10, 20, density=0.2, seed=0)
     with pytest.raises(ShapeError):
         Verse(Graph(A))
+
+
+# ------------------------------------------------------------------ #
+# Epoch loop contracts shared by Force2Vec and VERSE
+# ------------------------------------------------------------------ #
+def _reference_epochs(model, epochs, gradient):
+    """The trainers' epoch loop with a fresh float32 copy of the embeddings
+    per minibatch (``gradient`` calls ``_batch_gradient`` without ``Y``)."""
+    cfg = model.config
+    for epoch in range(epochs):
+        for batch in minibatch_indices(
+            model.graph.num_vertices, cfg.batch_size, seed=cfg.seed + epoch
+        ):
+            model.embeddings[batch] -= cfg.learning_rate * gradient(model, batch)
+
+
+def _trainer_pairs(graph):
+    """(name, trained model, reference model, per-batch reference gradient)."""
+    for backend in EMBEDDING_BACKENDS:
+        cfg = Force2VecConfig(dim=8, seed=4, backend=backend, batch_size=64)
+        yield backend, Force2Vec(graph, cfg), Force2Vec(graph, cfg), (
+            lambda m, batch: m._batch_gradient(batch, None)
+        )
+    cfg = VerseConfig(dim=8, seed=4, batch_size=64)
+    yield "verse", Verse(graph, cfg), Verse(graph, cfg), (
+        lambda m, batch: m._batch_gradient(batch)
+    )
+
+
+def test_epoch_scoped_features_are_bitwise_the_per_batch_copy(community_graph):
+    for name, model, reference, gradient in _trainer_pairs(community_graph):
+        model.train_epoch(0)
+        model.train_epoch(1)
+        _reference_epochs(reference, 2, gradient)
+        assert np.array_equal(model.embeddings, reference.embeddings), name
+        assert model._sampler.get_state() == reference._sampler.get_state(), name
+
+
+@pytest.mark.parametrize("backend", EMBEDDING_BACKENDS + ("verse",))
+def test_kernel_seconds_counts_only_kernel_calls(community_graph, backend, monkeypatch):
+    if backend == "verse":
+        model = Verse(community_graph, VerseConfig(dim=8, seed=0, batch_size=64))
+    else:
+        cfg = Force2VecConfig(dim=8, seed=0, backend=backend, batch_size=64)
+        model = Force2Vec(community_graph, cfg)
+    draw = model._sampler.sample
+    nap = 0.01
+
+    def slow_sample(shape):
+        time.sleep(nap)
+        return draw(shape)
+
+    monkeypatch.setattr(model._sampler, "sample", slow_sample)
+    stats = model.train_epoch(0)
+    assert stats.num_batches == 4
+    assert stats.kernel_seconds > 0.0
+    # The sampler's sleeps and the kernel calls are disjoint slices of the epoch.
+    assert stats.kernel_seconds + stats.num_batches * nap <= stats.seconds

@@ -111,3 +111,79 @@ def test_part1d_cover_and_conservation(coo, num_parts):
         assert prev.stop == cur.start
     assert sum(p.nnz for p in parts) == csr.nnz
     assert partition_balance(parts) >= 1.0 or csr.nnz == 0
+
+
+@st.composite
+def csr_and_rows(draw, max_rows=12, max_cols=10, max_degree=5):
+    """A CSR matrix built from int32 indices (empty rows included) with
+    float32 or float64 data, plus a row selection that may repeat rows or
+    be empty."""
+    nrows = draw(st.integers(min_value=1, max_value=max_rows))
+    ncols = draw(st.integers(min_value=1, max_value=max_cols))
+    degs = draw(st.lists(st.integers(0, max_degree), min_size=nrows, max_size=nrows))
+    indptr = np.zeros(nrows + 1, dtype=np.int32)
+    np.cumsum(degs, out=indptr[1:])
+    nnz = int(indptr[-1])
+    cols = draw(st.lists(st.integers(0, ncols - 1), min_size=nnz, max_size=nnz))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    vals = draw(
+        st.lists(st.floats(-10, 10, allow_nan=False), min_size=nnz, max_size=nnz)
+    )
+    csr = CSRMatrix(
+        nrows,
+        ncols,
+        indptr,
+        np.asarray(cols, dtype=np.int32),
+        np.asarray(vals, dtype=dtype),
+    )
+    rows = draw(st.lists(st.integers(0, nrows - 1), max_size=2 * nrows))
+    return csr, rows
+
+
+def _select_rows_reference(csr, rows):
+    indptr, indices, data = [0], [], []
+    for u in rows:
+        lo, hi = csr.indptr[u], csr.indptr[u + 1]
+        indices.extend(csr.indices[lo:hi])
+        data.extend(csr.data[lo:hi])
+        indptr.append(indptr[-1] + hi - lo)
+    return (
+        np.asarray(indptr, dtype=np.int64),
+        np.asarray(indices, dtype=np.int64),
+        np.asarray(data, dtype=csr.data.dtype),
+    )
+
+
+@given(csr_and_rows())
+def test_select_rows_matches_row_by_row_copy(case):
+    csr, rows = case
+    sub = csr.select_rows(rows)
+    indptr, indices, data = _select_rows_reference(csr, rows)
+    assert (sub.nrows, sub.ncols) == (len(rows), csr.ncols)
+    for got, want in ((sub.indptr, indptr), (sub.indices, indices), (sub.data, data)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    for bad in (-1, csr.nrows):
+        with pytest.raises(IndexError):
+            csr.select_rows(rows + [bad])
+
+
+@given(
+    st.lists(st.integers(0, 6), max_size=15),
+    st.integers(min_value=0, max_value=50),
+    st.booleans(),
+)
+def test_part1d_single_part_equals_general_path(degs, offset, raw):
+    """``part1d(x, 1)`` is the merge of the general path's partitions,
+    also for raw ``indptr`` arrays that start above 0."""
+    indptr = offset + np.concatenate(([0], np.cumsum(degs))).astype(np.int64)
+    if raw:
+        x = indptr
+    else:
+        indptr = indptr - offset
+        x = CSRMatrix(len(degs), 1, indptr, np.zeros(int(indptr[-1]), dtype=np.int64))
+    (single,) = part1d(x, 1)
+    for num_parts in (2, 3):
+        parts = part1d(x, num_parts)
+        assert (single.start, single.stop) == (parts[0].start, parts[-1].stop)
+        assert single.nnz == sum(p.nnz for p in parts) == indptr[-1] - indptr[0]
