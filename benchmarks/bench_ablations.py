@@ -9,14 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import (
-    autotune,
-    compiled_available,
-    fusedmm_edgeblocked,
-    fusedmm_rowblocked,
-    get_pattern,
-    sigmoid_embedding_kernel,
-)
+from repro.core import autotune, compiled_available, fusedmm_optimized, get_pattern
 from repro.core.autotune import clear_tuning_cache
 from repro.core.compiled import get_compiled_kernel
 
@@ -32,34 +25,19 @@ def bench_ablation_block_size(benchmark, youtube_graph, block_size):
     X = features_for(youtube_graph, 128)
     benchmark.group = "ablation-block-size-youtube-d128"
     benchmark(
-        lambda: fusedmm_edgeblocked(
+        lambda: fusedmm_optimized(
             A, X, X, pattern="sigmoid_embedding", block_size=block_size
         )
     )
 
 
-def bench_ablation_row_blocked(benchmark, ogbprot_graph):
-    """Row-blocked kernel on the dense graph (its favourable regime)."""
+def bench_ablation_optimized_dense(benchmark, ogbprot_graph):
+    """Edge-blocked NumPy kernel on the dense graph (the no-compiler rung of
+    the backend ladder)."""
     A = ogbprot_graph.adjacency
     X = features_for(ogbprot_graph, 128)
-    benchmark.group = "ablation-strategy-ogbprot-d128"
-    benchmark(lambda: fusedmm_rowblocked(A, X, X, pattern="sigmoid_embedding"))
-
-
-def bench_ablation_edge_blocked_dense(benchmark, ogbprot_graph):
-    """Edge-blocked kernel on the dense graph (for the strategy crossover)."""
-    A = ogbprot_graph.adjacency
-    X = features_for(ogbprot_graph, 128)
-    benchmark.group = "ablation-strategy-ogbprot-d128"
-    benchmark(lambda: fusedmm_edgeblocked(A, X, X, pattern="sigmoid_embedding"))
-
-
-def bench_ablation_specialized_kernel(benchmark, ogbprot_graph):
-    """Hand-specialized sigmoid-embedding kernel (top of the backend ladder)."""
-    A = ogbprot_graph.adjacency
-    X = features_for(ogbprot_graph, 128)
-    benchmark.group = "ablation-strategy-ogbprot-d128"
-    benchmark(lambda: sigmoid_embedding_kernel(A, X, X))
+    benchmark.group = "ablation-backend-ogbprot-d128"
+    benchmark(lambda: fusedmm_optimized(A, X, X, pattern="sigmoid_embedding"))
 
 
 @pytest.mark.skipif(not compiled_available(), reason="no C compiler ($CC or cc)")
@@ -68,12 +46,12 @@ def bench_ablation_generated_kernel(benchmark, ogbprot_graph):
     A = ogbprot_graph.adjacency
     X = features_for(ogbprot_graph, 128)
     kernel = get_compiled_kernel(get_pattern("sigmoid_embedding").resolved())
-    benchmark.group = "ablation-strategy-ogbprot-d128"
+    benchmark.group = "ablation-backend-ogbprot-d128"
     benchmark(lambda: kernel(A, X, X))
 
 
 def bench_ablation_autotune_cost(benchmark, youtube_graph):
-    """One full autotuning sweep (strategy + block sizes) — the cost a user
+    """One full autotuning sweep (edge-block sizes) — the cost a user
     pays once per (pattern, d, graph-size) combination."""
     A = youtube_graph.adjacency
     X = features_for(youtube_graph, 64)

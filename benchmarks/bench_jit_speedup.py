@@ -1,7 +1,7 @@
-"""Benchmark: JIT backend speedup over the NumPy blocked backends.
+"""Benchmark: JIT backend speedup over the NumPy edge-blocked backend.
 
 Runs :func:`repro.bench.bench_jit_speedup` — the same FusedMM call through
-the ``optimized``, ``specialized`` and ``jit`` backends — and gates on the
+the ``optimized`` and ``jit`` backends — and gates on the
 repo's acceptance criterion: ``jit`` ≥3× faster than ``optimized`` on the
 ``sigmoid_embedding`` pattern (d=128, RMAT graph).
 
@@ -73,7 +73,7 @@ def main(argv=None) -> int:
         repeats=repeats,
         patterns=args.patterns,
     )
-    print(format_table(rows, title="JIT backend speedup (vs NumPy backends)"))
+    print(format_table(rows, title="JIT backend speedup (vs the NumPy backend)"))
     if args.json:
         print(f"wrote {record_benchmark('jit', rows, path=args.json)}")
 

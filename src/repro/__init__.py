@@ -7,7 +7,7 @@ Python/NumPy library whose fastest kernels are C generated per pattern and
 built with the system compiler at run time:
 
 * :mod:`repro.core` — the FusedMM kernel: five-step operator abstraction,
-  reference / vectorized / specialized / compiled C / jit backends, 1-D
+  reference / vectorized NumPy / compiled C / jit backends, 1-D
   partitioning and thread parallelism, autotuning.
 * :mod:`repro.sparse` — CSR/COO sparse-matrix substrate.
 * :mod:`repro.graphs` — graph generators, the Table V dataset registry,

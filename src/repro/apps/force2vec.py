@@ -25,7 +25,8 @@ updated rows.
 
 The ``backend`` knob selects which kernel implementation performs the work:
 
-``"fused"``     FusedMM specialized kernels (this paper)
+``"fused"``     FusedMM (this paper) on ``kernel_backend``, by default
+                ``"auto"``: compiled C, else jit, else the NumPy kernel
 ``"fused_generic"``  the unoptimized reference FusedMM (Alg. 1)
 ``"unfused"``   the DGL-style SDDMM → H → SpMM pipeline
 ``"dense"``     the PyTorch-style dense-tensor implementation

@@ -10,7 +10,7 @@ Sub-commands
 ``bench``         system benchmarks (``bench runtime``: plan-cache and
                   batch-packing throughput of the kernel runtime;
                   ``bench shard``: multi-process shard scaling;
-                  ``bench jit``: JIT backend speedup vs the NumPy backends;
+                  ``bench jit``: JIT backend speedup vs the NumPy backend;
                   ``bench reorder``: locality tier — vertex reordering +
                   cache-blocked execution vs the natural ordering;
                   ``bench serve``: serving throughput — micro-batching
@@ -195,7 +195,7 @@ def _cmd_bench_jit(args: argparse.Namespace) -> int:
         repeats=args.repeats,
         patterns=args.patterns,
     )
-    print(format_table(rows, title="JIT backend speedup (vs NumPy backends)"))
+    print(format_table(rows, title="JIT backend speedup (vs the NumPy backend)"))
     if not jit_available():
         print(
             "numba is not installed: jit rows skipped "
@@ -805,7 +805,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench_sh.set_defaults(func=_cmd_bench_shard)
 
     p_bench_jit = bench_sub.add_parser(
-        "jit", help="JIT backend speedup vs the NumPy backends"
+        "jit", help="JIT backend speedup vs the NumPy backend"
     )
     p_bench_jit.add_argument("--nodes", type=int, default=20_000)
     p_bench_jit.add_argument("--avg-degree", type=int, default=16)

@@ -3,12 +3,10 @@
 The paper's library tunes its generated kernels per architecture: register
 blocking factors, which vectors to prioritise for blocking, and a blocking
 threshold for large dimensions (Section IV.B).  The tunable parameters of
-the Python kernels are
-
-* the blocking **strategy** (row-blocked vs edge-blocked, see
-  :mod:`repro.core.optimized`), and
-* the **edge block size** (how many edges worth of intermediates are alive
-  at once — the register/L2-tile analogue).
+the NumPy kernel (:mod:`repro.core.optimized`) is the **edge block size**
+(how many edges worth of intermediates are alive at once — the
+register/L2-tile analogue); the compiled tiers compete as whole
+candidates.
 
 :func:`autotune` measures a small number of timed trial runs for each
 candidate configuration on (a sample of) the actual operands and returns
@@ -30,7 +28,7 @@ import numpy as np
 from ..sparse import CSRMatrix
 from . import compiled as compiled_backend
 from . import jit as jit_backend
-from .optimized import DEFAULT_BLOCK_SIZE, fusedmm_edgeblocked, fusedmm_rowblocked
+from .optimized import DEFAULT_BLOCK_SIZE, fusedmm_optimized
 from .patterns import OpPattern, get_pattern
 from .validation import validate_operands
 
@@ -144,18 +142,18 @@ def autotune(
     use_cache: bool = True,
     **pattern_overrides,
 ) -> TuningResult:
-    """Pick the fastest (strategy, block size) for the given operands.
+    """Pick the fastest candidate (and block size) for the given operands.
 
     Parameters
     ----------
     strategies:
-        Subset of ``{"row", "edge", "compiled", "jit"}`` to try; the
-        default (``None``) sweeps both NumPy blocking strategies.  The
-        dispatcher (:func:`repro.core.fused.autotune_backend`) adds the
+        Subset of ``{"edge", "compiled", "jit"}`` to try; the default
+        (``None``) sweeps only the NumPy kernel's block sizes (``"edge"``).
+        The dispatcher (:func:`repro.core.fused.autotune_backend`) adds the
         compiled tiers where ``auto`` would consider them — a winning
         ``"compiled"``/``"jit"`` trial makes it pin that backend.
     block_candidates:
-        Edge block sizes to sweep (only relevant for the edge strategy).
+        Edge block sizes to sweep for the NumPy kernel.
     repeats:
         Timed repetitions per configuration; the minimum is kept.
     max_sample_nnz:
@@ -165,7 +163,7 @@ def autotune(
     A_csr, X_arr, Y_arr = validate_operands(A, X, Y)
     resolved = get_pattern(pattern, **pattern_overrides).resolved()
     if strategies is None:
-        strategies = ("row", "edge")
+        strategies = ("edge",)
     key = (
         tuple(sorted(resolved.op_names().items())),
         X_arr.shape[1],
@@ -190,21 +188,10 @@ def autotune(
         return best
 
     for strategy in strategies:
-        if strategy == "row":
-            elapsed = _time(
-                fusedmm_rowblocked,
-                sample,
-                Xs,
-                Y_arr,
-                pattern=pattern,
-                num_threads=num_threads,
-                **pattern_overrides,
-            )
-            trials[("row", 0)] = elapsed
-        elif strategy == "edge":
+        if strategy == "edge":
             for block in block_candidates:
                 elapsed = _time(
-                    fusedmm_edgeblocked,
+                    fusedmm_optimized,
                     sample,
                     Xs,
                     Y_arr,
@@ -237,7 +224,7 @@ def autotune(
             raise ValueError(f"unknown strategy {strategy!r}")
 
     (best_strategy, best_block), best_time = min(trials.items(), key=lambda kv: kv[1])
-    if best_strategy in ("row", "compiled", "jit"):
+    if best_strategy in ("compiled", "jit"):
         best_block = DEFAULT_BLOCK_SIZE
     result = TuningResult(
         strategy=best_strategy,
@@ -284,7 +271,7 @@ def autotune_reorder(
     resolved kernel and the memoised permutations); this function owns
     timing, selection and caching.
 
-    Unlike the strategy/block sweep of :func:`autotune`, reorder decisions
+    Unlike the block-size sweep of :func:`autotune`, reorder decisions
     are *matrix-specific* — locality is a property of this graph's
     structure — so the cache is keyed by the caller-supplied ``memo_key``
     (typically fingerprint + kernel configuration), never by an nnz

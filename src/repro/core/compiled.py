@@ -56,8 +56,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import BackendError, CodegenError, PartitionError, ShapeError
-from ..sparse import as_csr
+from ..errors import BackendError, CodegenError, PartitionError
 from .jit import (
     _is_edge_scaled_spmm,
     _is_tdist_fr,
@@ -68,7 +67,7 @@ from .mathops import SIGMOID_CLAMP
 from .optimized import _window_parts
 from .parallel import ParallelConfig, run_partitioned
 from .patterns import OpPattern, ResolvedPattern, get_pattern
-from .validation import ensure_float_matrix, resolve_out_window, validate_operands
+from .validation import resolve_out_window, validate_optional_x
 
 __all__ = [
     "CFLAGS",
@@ -593,20 +592,8 @@ def _normalise(A, X, Y, resolved: ResolvedPattern):
     """Validated operands in the layout the C entry points take: int64
     CSR arrays, C-contiguous float32/float64 features of one type.
     Returns ``(A, X, Y, result_dtype)``; ``X`` is ``Y`` for ``X=None``."""
-    if X is None:
-        if not resolved.is_spmm_like:
-            raise BackendError(f"pattern {resolved.name!r} needs source features X")
-        A = as_csr(A)
-        Y = ensure_float_matrix(Y, "Y")
-        if Y.shape[0] != A.ncols:
-            raise ShapeError(
-                f"Y must have one row per column of A: Y has {Y.shape[0]}, "
-                f"A has {A.ncols}"
-            )
-        result_dtype = Y.dtype
-    else:
-        A, X, Y = validate_operands(A, X, Y)
-        result_dtype = X.dtype
+    A, X, Y = validate_optional_x(A, X, Y, resolved)
+    result_dtype = (Y if X is None else X).dtype
     feature = np.result_type(Y if X is None else X, Y)
     if feature not in _CODES:
         feature = np.dtype(np.float64)
@@ -695,7 +682,7 @@ def get_compiled_kernel(pattern: ResolvedPattern | OpPattern | str) -> Callable:
     from the cache on first use, then memoised — the same object is
     returned every time).
 
-    The callable takes the specialized-kernel surface ``kernel(A, X, Y,
+    The callable takes the kernel surface ``kernel(A, X, Y,
     *, num_threads=, parts=, pool=, out=, row_offset=)``.  Raises
     :class:`~repro.errors.BackendError` for unsupported patterns or when
     no compiler is found, :class:`~repro.errors.CodegenError` when the

@@ -16,8 +16,8 @@ work that fit the same substrate:
   ``z_u = Σ_v softmax_v(score(x_u, y_v)) · y_v`` with a leaky-ReLU dot
   score, built from :func:`edge_softmax` plus the fused SpMM.
 * :func:`sage_mean_aggregate` — GraphSAGE-mean aggregation (neighbour mean
-  concatenated with the self feature), expressed with the SpMM
-  specialisation and a degree normalisation.
+  concatenated with the self feature), expressed with the ``spmm``
+  pattern and a degree normalisation.
 
 All three reuse the CSR substrate and the fused kernels, so they inherit
 the memory behaviour studied in the paper; they are covered by unit tests
@@ -32,7 +32,7 @@ import numpy as np
 
 from ..errors import ShapeError
 from ..sparse import CSRMatrix, as_csr
-from .specialized import spmm_kernel
+from .fused import fusedmm
 
 __all__ = ["edge_softmax", "attention_scores", "attention_aggregate", "sage_mean_aggregate"]
 
@@ -103,7 +103,7 @@ def attention_aggregate(
 
     The score pass materialises one scalar per edge (unavoidable — the
     softmax needs the whole row), after which the aggregation reuses the
-    fused SpMM specialisation with the attention weights as edge values.
+    ``spmm`` pattern with the attention weights as edge values.
     """
     A = as_csr(A)
     Y_arr = np.ascontiguousarray(X if Y is None else Y, dtype=np.float32)
@@ -112,7 +112,7 @@ def attention_aggregate(
     weighted = CSRMatrix(
         A.nrows, A.ncols, A.indptr.copy(), A.indices.copy(), alpha, check=False
     )
-    return spmm_kernel(weighted, Y_arr, num_threads=num_threads)
+    return fusedmm(weighted, None, Y_arr, pattern="spmm", num_threads=num_threads)
 
 
 def sage_mean_aggregate(
@@ -134,7 +134,7 @@ def sage_mean_aggregate(
         raise ShapeError("X must have one row per row of A")
     ones = A.copy()
     ones.data = np.ones_like(ones.data)
-    neighbour_sum = spmm_kernel(ones, Y_arr, num_threads=num_threads)
+    neighbour_sum = fusedmm(ones, None, Y_arr, pattern="spmm", num_threads=num_threads)
     degrees = np.maximum(A.row_degrees().astype(np.float32), 1.0)
     neighbour_mean = neighbour_sum / degrees[:, None]
     return np.concatenate([X, neighbour_mean.astype(np.float32)], axis=1)

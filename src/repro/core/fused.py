@@ -21,16 +21,16 @@ sweep.
 Backends
 --------
 ``"generic"``      the faithful Algorithm 1 reference (paper's "FusedMM")
-``"optimized"``    vectorized row-/edge-blocked kernels (paper's "FusedMMopt")
-``"specialized"``  hand-fused NumPy kernels for the known Table III patterns
+``"optimized"``    the vectorized edge-blocked NumPy kernel (paper's
+                   "FusedMMopt"); runs every pattern
 ``"compiled"``     C kernels emitted from the pattern's opcodes and built
                    with the system compiler (Section IV.B,
                    :mod:`repro.core.compiled`); needs ``$CC`` or ``cc``
 ``"jit"``          Numba-compiled row-fused kernels (:mod:`repro.core.jit`);
                    runs interpreted when the optional numba extra is absent
 ``"auto"``         compiled (only when a C compiler is found) → jit (only
-                   when numba is importable) → specialized → optimized →
-                   generic, first backend that supports the pattern wins
+                   when numba is importable) → optimized → generic, first
+                   backend that supports the pattern wins
 
 All backends share the ``out=``/``row_offset=`` output surface: pass a
 preallocated ``(k, d)`` slab and row ``u`` of the result lands in
@@ -55,20 +55,20 @@ from .generic import fusedmm_generic
 from .optimized import DEFAULT_BLOCK_SIZE, fusedmm_optimized
 from .partition import RowPartition, part1d
 from .patterns import OpPattern, ResolvedPattern, get_pattern
-from .specialized import get_specialized_kernel, spmm_kernel
 
 __all__ = [
     "fusedmm",
     "FusedMM",
     "BACKENDS",
+    "check_backend",
     "resolve_backend",
     "run_kernel",
     "autotune_backend",
 ]
 
-BACKENDS = ("auto", "compiled", "jit", "generic", "optimized", "specialized")
+BACKENDS = ("auto", "compiled", "jit", "generic", "optimized")
 
-#: The backends with no row/edge strategy, which a sweep pins or demotes.
+#: The backends a sweep pins or demotes (they have no edge-block size).
 COMPILED_TIERS = ("compiled", "jit")
 
 
@@ -92,21 +92,27 @@ def _auto_tiers(resolved: ResolvedPattern) -> Tuple[str, ...]:
     return tuple(tiers)
 
 
+def check_backend(backend: str) -> None:
+    """Raise :class:`~repro.errors.BackendError` unless ``backend`` is one
+    of :data:`BACKENDS`."""
+    if backend not in BACKENDS:
+        raise BackendError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
+
+
 def resolve_backend(
     resolved: ResolvedPattern, backend: str = "auto", *, allow_compiled: bool = True
 ) -> Tuple[str, Optional[Callable]]:
     """Resolve ``backend`` for a pattern; returns ``(kind, kernel)``.
 
     ``kind`` is the backend that will run — ``"compiled"``, ``"jit"``,
-    ``"specialized"``, ``"optimized"`` or ``"generic"`` — and ``kernel``
-    the concrete callable for the first three (``None`` otherwise).  An
+    ``"optimized"`` or ``"generic"`` — and ``kernel`` the concrete
+    callable for the first two (``None`` otherwise).  An
     explicit backend that cannot run the pattern raises
     :class:`~repro.errors.BackendError`; ``auto`` falls through to the
     next tier instead.  ``allow_compiled=False`` skips the compiled tiers
-    for ``auto`` (the autotuner measured the NumPy kernels as faster).
+    for ``auto`` (the autotuner measured the NumPy kernel as faster).
     """
-    if backend not in BACKENDS:
-        raise BackendError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
+    check_backend(backend)
     if backend == "generic":
         return "generic", None
     if backend in COMPILED_TIERS:
@@ -117,15 +123,6 @@ def resolve_backend(
                 return tier, _tier_kernel(tier, resolved)
             except CodegenError:
                 pass  # the compiler rejected the source: take the next tier
-    if backend in ("specialized", "auto"):
-        kernel = get_specialized_kernel(resolved)
-        if kernel is not None:
-            return "specialized", kernel
-        if backend == "specialized":
-            raise BackendError(
-                f"no specialized kernel exists for pattern {resolved.name!r}; "
-                "use backend='optimized' or 'auto'"
-            )
     return "optimized", None
 
 
@@ -139,7 +136,6 @@ def run_kernel(
     *,
     backend: str = "auto",
     block_size: Optional[int] = None,
-    strategy: str = "auto",
     num_threads: int = 1,
     parts: Optional[Sequence[RowPartition]] = None,
     pool: Optional[ThreadPoolExecutor] = None,
@@ -149,11 +145,12 @@ def run_kernel(
     """Execute a ``(kind, kernel)`` pair from :func:`resolve_backend`.
 
     ``X=None`` is accepted for SpMM-like patterns (they ignore the source
-    features) and runs the plain ``Z = A · Y`` kernel.  ``parts``/``pool``
-    hand the caller's partition list and thread pool to the partitioned
-    kernels.  When the optimized kernels fail on an exotic user operator,
+    features) by every backend but ``generic``.  ``parts``/``pool`` hand
+    the caller's partition list and thread pool to the partitioned
+    kernels.  When the optimized kernel fails on an exotic user operator,
     ``backend="auto"`` falls back to the reference kernel, which always
-    works; an explicit ``backend="optimized"`` re-raises.
+    works; an explicit ``backend="optimized"`` re-raises, and so does a
+    call without ``X`` (the reference kernel needs it).
     """
     kwargs = dict(
         block_size=block_size or DEFAULT_BLOCK_SIZE,
@@ -165,21 +162,11 @@ def run_kernel(
     )
     if kind == "optimized":
         try:
-            return fusedmm_optimized(
-                A, X, Y, pattern=op_pattern, strategy=strategy, **kwargs
-            )
+            return fusedmm_optimized(A, X, Y, pattern=op_pattern, **kwargs)
         except Exception:
-            if backend == "optimized":
+            if backend == "optimized" or X is None:
                 raise
     elif kind != "generic":
-        if X is None and kind not in COMPILED_TIERS:
-            # The compiled and jit kernels take X=None themselves; the
-            # specialized ones hand SpMM-like patterns to the plain A·Y kernel.
-            if not op_pattern.resolved().is_spmm_like:
-                raise BackendError(
-                    f"pattern {op_pattern.name!r} needs source features X"
-                )
-            return spmm_kernel(A, Y, **kwargs)
         return kernel(A, X, Y, **kwargs)
     return fusedmm_generic(A, X, Y, pattern=op_pattern, out=out, row_offset=row_offset)
 
@@ -191,15 +178,14 @@ def autotune_backend(
     *,
     num_threads: int = 1,
     dim: int = 128,
-) -> Tuple[str, Optional[Callable], str, TuningResult]:
-    """Sweep the blocking strategies (and, for ``auto``, the compiled
-    tiers) on synthetic features of dimension ``dim``; the adjacency is
-    what matters for the access pattern.
+) -> Tuple[str, Optional[Callable], TuningResult]:
+    """Sweep the edge-block sizes of the NumPy kernel (and, for ``auto``,
+    the compiled tiers) on synthetic features of dimension ``dim``; the
+    adjacency is what matters for the access pattern.
 
-    Returns ``(kind, kernel, strategy, tuning)``.  A winning compiled or
-    jit trial pins that kernel (which has no row/edge strategy, so
-    ``strategy`` is ``"auto"``).  When the NumPy kernels win, ``auto``
-    resolves without the compiled tiers; an explicit backend, ``"jit"`` or
+    Returns ``(kind, kernel, tuning)``.  A winning compiled or jit trial
+    pins that kernel.  When the NumPy kernel wins, ``auto`` resolves
+    without the compiled tiers; an explicit backend, ``"jit"`` or
     ``"compiled"`` included, is kept.  The swept edge-block size is
     ``tuning.block_size``.
     """
@@ -219,14 +205,13 @@ def autotune_backend(
         Y,
         pattern=op_pattern,
         num_threads=num_threads,
-        strategies=("row", "edge", *tiers),
+        strategies=("edge", *tiers),
     )
     if tuning.strategy in COMPILED_TIERS:
         kind, kernel = resolve_backend(resolved, tuning.strategy)
     else:
         kind, kernel = resolve_backend(resolved, backend, allow_compiled=False)
-    strategy = "auto" if kind in COMPILED_TIERS else tuning.strategy
-    return kind, kernel, strategy, tuning
+    return kind, kernel, tuning
 
 
 def fusedmm(
@@ -238,7 +223,6 @@ def fusedmm(
     backend: str = "auto",
     num_threads: int = 1,
     block_size: Optional[int] = None,
-    strategy: str = "auto",
     out: Optional[np.ndarray] = None,
     row_offset: int = 0,
     **pattern_overrides,
@@ -266,9 +250,7 @@ def fusedmm(
     num_threads:
         Worker threads for the partition-parallel backends.
     block_size:
-        Edge-block size override for the blocked backends.
-    strategy:
-        ``"row"``, ``"edge"`` or ``"auto"`` for the optimized backend.
+        Edge-block size override for the optimized backend.
     out, row_offset:
         Optional preallocated output slab shared by every backend: row
         ``u`` of the result is written to ``out[u - row_offset]`` and only
@@ -290,7 +272,6 @@ def fusedmm(
         Y,
         backend=backend,
         block_size=block_size,
-        strategy=strategy,
         num_threads=num_threads,
         out=out,
         row_offset=row_offset,
@@ -302,7 +283,6 @@ class _Plan:
     """Execution plan cached by :class:`FusedMM`."""
 
     backend: str
-    strategy: str
     block_size: int
     num_threads: int
     tuning: Optional[TuningResult] = None
@@ -334,7 +314,6 @@ class FusedMM:
         backend: str = "auto",
         num_threads: int = 1,
         block_size: Optional[int] = None,
-        strategy: str = "auto",
         autotune: bool = False,
         autotune_dim: int = 128,
         **pattern_overrides,
@@ -346,7 +325,6 @@ class FusedMM:
         self.partitions = part1d(self.A, max(1, num_threads))
         self.plan = _Plan(
             backend=backend,
-            strategy=strategy,
             block_size=block_size or DEFAULT_BLOCK_SIZE,
             num_threads=max(1, num_threads),
             kind=kind,
@@ -354,7 +332,7 @@ class FusedMM:
         )
         if autotune and kind != "generic":
             plan = self.plan
-            plan.kind, plan.kernel, plan.strategy, plan.tuning = autotune_backend(
+            plan.kind, plan.kernel, plan.tuning = autotune_backend(
                 self.A,
                 self.pattern,
                 backend,
@@ -379,7 +357,6 @@ class FusedMM:
             Y,
             backend=plan.backend,
             block_size=plan.block_size,
-            strategy=plan.strategy,
             num_threads=plan.num_threads,
             out=out,
             row_offset=row_offset,
@@ -392,7 +369,6 @@ class FusedMM:
             "pattern": self.resolved.name,
             "ops": self.resolved.op_names(),
             "backend": self.plan.backend,
-            "strategy": self.plan.strategy,
             "block_size": self.plan.block_size,
             "num_threads": self.plan.num_threads,
             "partitions": len(self.partitions),

@@ -41,11 +41,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ..errors import BackendError
-from ..sparse import as_csr
 from .mathops import SIGMOID_CLAMP, sigmoid_scalar
 from .optimized import DEFAULT_BLOCK_SIZE
 from .patterns import OpPattern, ResolvedPattern, get_pattern
-from .validation import ensure_float_matrix, resolve_out_window, validate_operands
+from .validation import resolve_out_window, validate_optional_x
 
 __all__ = [
     "NUMBA_AVAILABLE",
@@ -486,16 +485,9 @@ def fusedmm_jit(
     """
     del block_size, num_threads, pool  # signature compatibility only
     resolved = get_pattern(pattern, **pattern_overrides).resolved()
-    if X is None:
-        if not resolved.is_spmm_like:
-            raise BackendError(
-                f"pattern {resolved.name!r} needs source features X"
-            )
-        A = as_csr(A)
-        Y = ensure_float_matrix(Y, "Y")
+    A, X_arr, Y = validate_optional_x(A, X, Y, resolved)
+    if X_arr is None:
         X_arr = Y  # unused by the spmm path; keeps shapes consistent below
-    else:
-        A, X_arr, Y = validate_operands(A, X, Y)
     m, d = A.nrows, Y.shape[1]
     w0, w1 = resolve_out_window(out, row_offset, m, d)
 
@@ -540,7 +532,7 @@ def fusedmm_jit(
 def get_jit_kernel(pattern: ResolvedPattern | OpPattern | str) -> Callable:
     """A plan-cacheable kernel callable bound to one resolved pattern.
 
-    Matches the specialized-kernel calling convention used by
+    Matches the ``kernel(A, X, Y, **kwargs)`` calling convention used by
     :class:`repro.runtime.plan.KernelPlan`; raises
     :class:`~repro.errors.BackendError` for unsupported patterns.
     """

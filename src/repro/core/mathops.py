@@ -1,10 +1,8 @@
 """Shared scalar math used by every kernel backend.
 
-The clipped, numerically stable sigmoid was historically defined twice —
-once in :mod:`repro.core.operators` (the registry's SIGMOID) and once in
-:mod:`repro.core.specialized` (the hand-fused sigmoid-embedding kernel) —
-which let the clamp bounds drift between backends.  It now lives here, in
-both an array form (NumPy backends, codegen templates) and a scalar form
+The clipped, numerically stable sigmoid is defined once, here, so the
+clamp bounds cannot drift between backends: an array form (the
+registry's SIGMOID, run by the NumPy backend) and a scalar form
 written in plain ``math`` so the Numba JIT kernels compile the exact same
 clamp-and-branch arithmetic.
 """

@@ -1,34 +1,24 @@
-"""Vectorized FusedMM kernels (the paper's "FusedMMopt").
+"""Vectorized NumPy FusedMM kernel (the paper's "FusedMMopt").
 
 The paper obtains its optimized kernel by (a) register-blocking ``x_u`` and
 ``z_u`` in SIMD registers, (b) streaming the neighbour vectors ``y_v``
 through the registers, and (c) writing ``z_u`` once per row with
-non-temporal stores (Section IV.A, Fig. 5).  The Python analogue of those
-three ideas is *blocking*:
+non-temporal stores (Section IV.A, Fig. 5).  The NumPy analogue of those
+ideas is *edge blocking* (:func:`fusedmm_optimized`): edges are processed
+in fixed-size blocks; for each block the source and destination features
+are gathered, the five steps run vectorized over the block, and the block
+results are segment-reduced into ``Z`` using the CSR ordering (edges of
+the same row are contiguous, so ``np.ufunc.reduceat`` on the row-change
+boundaries does the aggregation without materialising anything larger
+than the block).  The intermediate footprint is ``O(block_size × d)``
+**independent of nnz** — this is what preserves the paper's memory-
+advantage claim (Fig. 10b) relative to the unfused baselines, which hold
+the full ``nnz × d`` message matrix H.
 
-* **Row-blocked kernel** (:func:`fusedmm_rowblocked`): for each output row,
-  all neighbour features are gathered into one ``(k, d)`` array and the
-  five steps run as single vectorized NumPy expressions over that array.
-  ``x_u``/``z_u`` stay in cache for the whole row — the direct analogue of
-  register-blocking them — and ``Z`` is written exactly once per row.
-  Best when the average degree is high (Ogbprot., Orkut, Harvard).
-
-* **Edge-blocked kernel** (:func:`fusedmm_edgeblocked`): edges are processed
-  in fixed-size blocks; for each block the source and destination features
-  are gathered, the five steps run vectorized over the block, and the block
-  results are segment-reduced into ``Z`` using the CSR ordering (edges of
-  the same row are contiguous, so ``np.ufunc.reduceat`` on the row-change
-  boundaries does the aggregation without materialising anything larger
-  than the block).  The intermediate footprint is ``O(block_size × d)``
-  **independent of nnz** — this is what preserves the paper's memory-
-
-  advantage claim (Fig. 10b) relative to the unfused baselines, which hold
-  the full ``nnz × d`` message matrix H.  Best for low-degree graphs
-  (Youtube, Amazon, Pubmed) where per-row vectorization is too short.
-
-Both kernels accept any operator pattern via the registry's batched
-callables, run over 1-D nnz-balanced partitions, and are property-tested
-against the reference kernel of :mod:`repro.core.generic`.
+The kernel accepts any operator pattern via the registry's batched
+callables, runs over 1-D nnz-balanced partitions, and is property-tested
+against the reference kernel of :mod:`repro.core.generic`.  It is the
+NumPy fallback ``auto`` runs where neither a C compiler nor numba exists.
 """
 
 from __future__ import annotations
@@ -38,20 +28,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..sparse import CSRMatrix
-from .operators import Operator
 from .parallel import ParallelConfig, run_partitioned
 from .partition import RowPartition
 from .patterns import OpPattern, ResolvedPattern, get_pattern
-from .validation import resolve_out_window, validate_operands
+from .validation import resolve_out_window, validate_optional_x
 
-__all__ = [
-    "DEFAULT_BLOCK_SIZE",
-    "fusedmm_rowblocked",
-    "fusedmm_edgeblocked",
-    "fusedmm_optimized",
-    "auto_strategy",
-]
+__all__ = ["DEFAULT_BLOCK_SIZE", "fusedmm_optimized"]
 
 
 # ---------------------------------------------------------------------- #
@@ -120,6 +102,9 @@ def _finalize_output(Z: np.ndarray, out, result_dtype) -> np.ndarray:
 #: cache of the machines in Table IV; the autotuner refines it per problem.
 DEFAULT_BLOCK_SIZE = 8192
 
+#: VOPs whose output does not depend on the source features.
+_X_FREE_VOPS = ("SEL2ND", "NOOP")
+
 
 # ---------------------------------------------------------------------- #
 # Shared step executor (batched)
@@ -133,9 +118,9 @@ def _run_steps_batch(
     """Run VOP → ROP → SOP → MOP over a batch of edges.
 
     ``Xs`` and ``Yd`` are the gathered ``(k, d)`` source/destination feature
-    blocks (``Xs`` may be a single ``(d,)`` vector in the row-blocked
-    kernel, which broadcasts), ``vals`` the ``(k,)`` edge values.  Returns
-    the per-edge messages ``M`` with shape ``(k, d)`` or ``(k,)``.
+    blocks (``Xs`` is ``None`` when the VOP ignores the source features),
+    ``vals`` the ``(k,)`` edge values.  Returns the per-edge messages ``M``
+    with shape ``(k, d)`` or ``(k,)``.
     """
     vop, rop, sop, mop = pattern.vop, pattern.rop, pattern.sop, pattern.mop
     W = Yd if vop.is_noop else vop.batch_fn(Xs, Yd, vals)
@@ -145,74 +130,6 @@ def _run_steps_batch(
     return M
 
 
-def _accumulate_rowwise(aop: Operator, out_row: np.ndarray, M: np.ndarray) -> None:
-    """Reduce the per-edge messages of one row into its output row."""
-    if M.ndim == 1:
-        # Scalar messages broadcast over the feature dimension.
-        M = M[:, None]
-    if aop.name == "ASUM":
-        out_row += M.sum(axis=0)
-    else:
-        out_row[...] = aop.batch_fn(out_row, M)
-
-
-# ---------------------------------------------------------------------- #
-# Row-blocked kernel
-# ---------------------------------------------------------------------- #
-def fusedmm_rowblocked(
-    A,
-    X,
-    Y=None,
-    *,
-    pattern: OpPattern | str = "sigmoid_embedding",
-    num_threads: int = 1,
-    parts_per_thread: int = 1,
-    parts: Optional[Sequence[RowPartition]] = None,
-    pool: Optional[ThreadPoolExecutor] = None,
-    out: Optional[np.ndarray] = None,
-    row_offset: int = 0,
-    **pattern_overrides,
-) -> np.ndarray:
-    """FusedMM with per-row vectorization (register-blocking analogue)."""
-    A, X, Y = validate_operands(A, X, Y)
-    resolved = get_pattern(pattern, **pattern_overrides).resolved()
-    m, d = X.shape
-    w0, w1 = resolve_out_window(out, row_offset, m, d)
-    parts = _window_parts(
-        A, w0, w1, parts, ParallelConfig(num_threads, parts_per_thread).num_parts
-    )
-    Z = _alloc_accumulator(out, w0, w1, d, 0.0)
-    identity = resolved.aop.accumulator_identity
-    indptr, indices, data = A.indptr, A.indices, A.data
-
-    def kernel(part: RowPartition, z_slice: np.ndarray) -> None:
-        for u in range(part.start, part.stop):
-            lo, hi = indptr[u], indptr[u + 1]
-            if lo == hi:
-                continue
-            cols = indices[lo:hi]
-            vals = data[lo:hi]
-            Yd = Y[cols]
-            # Broadcast x_u over the neighbour dimension so every step sees
-            # unambiguous (k, d) operands (a bare (d,) vector would be
-            # indistinguishable from a (k,) per-edge scalar when k == d).
-            Xs = np.broadcast_to(X[u], Yd.shape)
-            M = _run_steps_batch(resolved, Xs, Yd, vals)
-            row = z_slice[u - part.start]
-            if identity not in (0.0, None):
-                row[...] = identity
-            _accumulate_rowwise(resolved.aop, row, np.atleast_1d(M))
-
-    run_partitioned(
-        A, Z, kernel, config=ParallelConfig(num_threads, parts_per_thread),
-        parts=parts, pool=pool, row_offset=w0,
-    )
-    return _finalize_output(Z, out, X.dtype)
-
-
-# ---------------------------------------------------------------------- #
-# Edge-blocked kernel
-# ---------------------------------------------------------------------- #
 def _edge_block_ranges(lo: int, hi: int, block_size: int):
     """Yield ``[start, stop)`` edge ranges of at most ``block_size`` edges.
 
@@ -230,7 +147,7 @@ def _edge_block_ranges(lo: int, hi: int, block_size: int):
         start = stop
 
 
-def fusedmm_edgeblocked(
+def fusedmm_optimized(
     A,
     X,
     Y=None,
@@ -250,12 +167,15 @@ def fusedmm_edgeblocked(
     The intermediate arrays never exceed ``block_size × d`` elements, so the
     memory footprint stays flat in nnz and in d per block — the fused-kernel
     property the paper exploits (Section II, "The need for a fused kernel").
+    ``X`` may be ``None`` for SpMM-like patterns; a VOP that ignores the
+    source features (``SEL2ND``, ``NOOP``) skips the ``X`` gather.
     """
-    A, X, Y = validate_operands(A, X, Y)
     if block_size <= 0:
         raise ValueError(f"block_size must be positive, got {block_size}")
     resolved = get_pattern(pattern, **pattern_overrides).resolved()
-    m, d = X.shape
+    A, X, Y = validate_optional_x(A, X, Y, resolved)
+    gather_x = X is not None and resolved.vop.name not in _X_FREE_VOPS
+    m, d = A.nrows, Y.shape[1]
     w0, w1 = resolve_out_window(out, row_offset, m, d)
     parts = _window_parts(
         A, w0, w1, parts, ParallelConfig(num_threads, parts_per_thread).num_parts
@@ -274,7 +194,7 @@ def fusedmm_edgeblocked(
             src = edge_rows[e0:e1]
             dst = indices[e0:e1]
             vals = data[e0:e1]
-            Xs = X[src]
+            Xs = X[src] if gather_x else None
             Yd = Y[dst]
             M = _run_steps_batch(resolved, Xs, Yd, vals)
             M = np.atleast_1d(M)
@@ -301,78 +221,4 @@ def fusedmm_edgeblocked(
         empty = A.row_degrees()[w0:w1] == 0
         if np.any(empty):
             Z[empty] = 0.0
-    return _finalize_output(Z, out, X.dtype)
-
-
-# ---------------------------------------------------------------------- #
-# Strategy dispatcher
-# ---------------------------------------------------------------------- #
-def auto_strategy(A: CSRMatrix) -> str:
-    """The data-dependent choice behind ``strategy="auto"``: row-blocking
-    once rows average 32 neighbours, edge-blocking below that."""
-    return "row" if A.avg_degree() >= 32 else "edge"
-
-
-def fusedmm_optimized(
-    A,
-    X,
-    Y=None,
-    *,
-    pattern: OpPattern | str = "sigmoid_embedding",
-    strategy: str = "auto",
-    block_size: Optional[int] = None,
-    num_threads: int = 1,
-    parts_per_thread: int = 1,
-    parts: Optional[Sequence[RowPartition]] = None,
-    pool: Optional[ThreadPoolExecutor] = None,
-    out: Optional[np.ndarray] = None,
-    row_offset: int = 0,
-    **pattern_overrides,
-) -> np.ndarray:
-    """Vectorized FusedMM choosing between the row-blocked and edge-blocked
-    kernels.
-
-    Parameters
-    ----------
-    strategy:
-        ``"row"``, ``"edge"`` or ``"auto"`` (pick edge-blocking when the
-        average degree is below 32 — short rows make per-row vectorization
-        ineffective, mirroring the paper's observation that dense graphs
-        amortise memory latency better).
-    block_size:
-        Edge-block size for the edge-blocked kernel; ``None`` uses
-        :data:`DEFAULT_BLOCK_SIZE` (the autotuner may override it).
-    """
-    A_csr, X_arr, Y_arr = validate_operands(A, X, Y)
-    if strategy not in {"auto", "row", "edge"}:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == "auto":
-        strategy = auto_strategy(A_csr)
-    if strategy == "row":
-        return fusedmm_rowblocked(
-            A_csr,
-            X_arr,
-            Y_arr,
-            pattern=pattern,
-            num_threads=num_threads,
-            parts_per_thread=parts_per_thread,
-            parts=parts,
-            pool=pool,
-            out=out,
-            row_offset=row_offset,
-            **pattern_overrides,
-        )
-    return fusedmm_edgeblocked(
-        A_csr,
-        X_arr,
-        Y_arr,
-        pattern=pattern,
-        block_size=block_size or DEFAULT_BLOCK_SIZE,
-        num_threads=num_threads,
-        parts_per_thread=parts_per_thread,
-        parts=parts,
-        pool=pool,
-        out=out,
-        row_offset=row_offset,
-        **pattern_overrides,
-    )
+    return _finalize_output(Z, out, (Y if X is None else X).dtype)

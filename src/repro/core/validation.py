@@ -12,14 +12,19 @@ and dtype checks so the backends can assume well-formed inputs.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from ..errors import DTypeError, ShapeError
+from ..errors import BackendError, DTypeError, ShapeError
 from ..sparse import CSRMatrix, as_csr
 
-__all__ = ["validate_operands", "ensure_float_matrix", "resolve_out_window"]
+__all__ = [
+    "validate_operands",
+    "validate_optional_x",
+    "ensure_float_matrix",
+    "resolve_out_window",
+]
 
 
 def ensure_float_matrix(arr: np.ndarray, name: str, *, dtype=np.float32) -> np.ndarray:
@@ -101,3 +106,27 @@ def validate_operands(A, X, Y=None) -> Tuple[CSRMatrix, np.ndarray, np.ndarray]:
             f"X and Y must share the feature dimension: {X.shape[1]} != {Y.shape[1]}"
         )
     return A, X, Y
+
+
+def validate_optional_x(
+    A, X, Y, resolved
+) -> Tuple[CSRMatrix, Optional[np.ndarray], np.ndarray]:
+    """:func:`validate_operands`, except that ``X=None`` is accepted for
+    SpMM-like patterns (they ignore the source features) and stays ``None``.
+
+    ``resolved`` is the call's :class:`~repro.core.patterns.ResolvedPattern`;
+    any other pattern without ``X`` raises
+    :class:`~repro.errors.BackendError`.
+    """
+    if X is not None:
+        return validate_operands(A, X, Y)
+    if not resolved.is_spmm_like:
+        raise BackendError(f"pattern {resolved.name!r} needs source features X")
+    A = as_csr(A)
+    Y = ensure_float_matrix(Y, "Y")
+    if Y.shape[0] != A.ncols:
+        raise ShapeError(
+            f"Y must have one row per column of A: Y has {Y.shape[0]}, "
+            f"A has {A.ncols}"
+        )
+    return A, None, Y

@@ -30,10 +30,11 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.fused import check_backend
 from ..core.partition import RowPartition
+from ..core.patterns import get_pattern
 from ..errors import ShapeError
 from ..sparse import CSRMatrix, as_csr
-from .plan import effective_strategy
 
 __all__ = ["KernelRequest", "PackedBatch", "pack_requests", "pack_group_key"]
 
@@ -53,12 +54,18 @@ class KernelRequest:
     pattern: object = "sigmoid_embedding"
     backend: str = "auto"
     block_size: Optional[int] = None
-    strategy: str = "auto"
     overrides: Mapping[str, object] = field(default_factory=dict)
     tag: object = None
 
     def normalized(self) -> "KernelRequest":
-        """Canonicalise operands: CSR ``A``, float arrays, explicit ``Y``."""
+        """Canonicalise operands: CSR ``A``, float arrays, explicit ``Y``.
+
+        Also resolves the pattern and checks the backend name, so a bad
+        name fails this request alone (:class:`~repro.errors.PatternError`
+        / :class:`~repro.errors.BackendError`) before it can join a batch.
+        """
+        get_pattern(self.pattern, **dict(self.overrides)).resolved()
+        check_backend(self.backend)
         A = as_csr(self.A)
         X = None if self.X is None else np.ascontiguousarray(self.X)
         Y = self.Y
@@ -90,7 +97,6 @@ class KernelRequest:
             pattern=self.pattern,
             backend=self.backend,
             block_size=self.block_size,
-            strategy=self.strategy,
             overrides=self.overrides,
             tag=self.tag,
         )
@@ -100,11 +106,9 @@ def pack_group_key(plan, req: "KernelRequest") -> Tuple:
     """Grouping key under which requests may be packed together.
 
     Everything that influences the kernel's arithmetic must appear here:
-    the resolved pattern, backend kind, blocking parameters (including the
-    data-dependent row/edge choice a standalone ``strategy='auto'`` call
-    would make) and the operand dtypes (mixing dtypes in one packed call
-    would change NumPy's promotion behaviour relative to the standalone
-    calls).
+    the resolved pattern, backend kind, block size and the operand dtypes
+    (mixing dtypes in one packed call would change NumPy's promotion
+    behaviour relative to the standalone calls).
     """
     d = None if req.X is None else req.X.shape[1]
     if d is None and req.Y is not None:
@@ -112,7 +116,6 @@ def pack_group_key(plan, req: "KernelRequest") -> Tuple:
     return (
         plan.key.pattern,
         plan.kind,
-        effective_strategy(plan, as_csr(req.A)),
         plan.block_size,
         d,
         None if req.X is None else req.X.dtype.str,

@@ -17,9 +17,9 @@ must agree on so the transports can never drift:
 
 Determinism note: a run spec carries everything the parent resolved — the
 backend ``kind`` that runs (after ``auto`` resolution and any autotuned
-pin or demotion), the autotuned block size and the row/edge strategy — so
-rebuilt configs execute exactly the kernel a single-process call would:
-the bitwise-identity contract across shard counts extends across hosts.
+pin or demotion) and the autotuned block size — so rebuilt configs
+execute exactly the kernel a single-process call would: the
+bitwise-identity contract across shard counts extends across hosts.
 A worker that cannot run the shipped kind (no C compiler for
 ``"compiled"``, say) fails the job instead of picking another kernel.
 """
@@ -176,19 +176,17 @@ def plan_spec_from_plan(plan) -> Optional[Dict[str, object]]:
 
     Workers rebuild the dispatch config from this spec; the parent resolves
     everything host- and data-dependent (the backend kind, autotuned block
-    size, the row/edge strategy choice) *before* shipping, so every worker
-    executes exactly the kernel a single-process call would.  ``backend``
-    (the requested name) rides along for ``auto``'s last-resort generic
-    fallback.  Returns ``None`` when the pattern cannot be
-    pickled (user-supplied lambda operators) — callers fall back to
-    in-process execution.
+    size) *before* shipping, so every worker executes exactly the kernel a
+    single-process call would.  ``backend`` (the requested name) rides
+    along for ``auto``'s last-resort generic fallback.  Returns ``None``
+    when the pattern cannot be pickled (user-supplied lambda operators) —
+    callers fall back to in-process execution.
     """
     spec = {
         "op_pattern": plan.op_pattern,
         "backend": plan.backend,
         "kind": plan.kind,
         "block_size": plan.block_size,
-        "strategy": plan.strategy,
     }
     try:
         pickle.dumps(spec["op_pattern"])
@@ -219,7 +217,6 @@ def remote_spec_meta(spec: Optional[Dict[str, object]]) -> Optional[dict]:
         "backend": spec["backend"],
         "kind": spec["kind"],
         "block_size": spec["block_size"],
-        "strategy": spec["strategy"],
     }
 
 
@@ -236,7 +233,6 @@ def spec_from_meta(meta: dict) -> Dict[str, object]:
         "backend": str(meta["backend"]),
         "kind": str(meta["kind"]),
         "block_size": None if block_size is None else int(block_size),
-        "strategy": str(meta["strategy"]),
     }
 
 
@@ -259,7 +255,6 @@ def build_worker_config(spec: Dict[str, object], *, num_threads: int = 1):
         backend=spec["backend"],
         kind=spec["kind"],
         block_size=spec["block_size"],
-        strategy=spec["strategy"],
         num_threads=num_threads,
     )
 
@@ -273,5 +268,4 @@ def config_cache_key(spec: Dict[str, object]) -> tuple:
         spec["backend"],
         spec["kind"],
         spec["block_size"],
-        spec["strategy"],
     )

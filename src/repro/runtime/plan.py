@@ -5,12 +5,12 @@ depend on the feature matrices:
 
 * the resolved operator pattern (Table III row or user overrides),
 * the chosen backend kind and concrete kernel callable, resolved by
-  :func:`repro.core.fused.resolve_backend` (compiled → jit → specialized
-  → optimized → generic for ``auto``, the same walk
-  :func:`repro.core.fused.fusedmm` makes),
-* the effective blocking strategy and edge-block size (autotuned once when
-  requested, by :func:`repro.core.fused.autotune_backend`, which also pins
-  or demotes the compiled tiers),
+  :func:`repro.core.fused.resolve_backend` (compiled → jit → optimized →
+  generic for ``auto``, the same walk :func:`repro.core.fused.fusedmm`
+  makes),
+* the edge-block size (autotuned once when requested, by
+  :func:`repro.core.fused.autotune_backend`, which also pins or demotes
+  the compiled tiers),
 * the nnz-balanced row partitioning of the bound adjacency,
 * the **locality tier** (``reorder=``): a vertex permutation of the bound
   adjacency (:mod:`repro.sparse.reorder`) plus pre-compacted cache-blocked
@@ -21,7 +21,7 @@ depend on the feature matrices:
   callers never see permuted data.
 
 Plans are built once per ``(matrix fingerprint, pattern, backend,
-num_threads, block_size, strategy, autotune, reorder)`` key and then
+num_threads, block_size, autotune, reorder)`` key and then
 executed many times — every epoch of a training loop, every request of a
 batch — via :meth:`KernelPlan.execute`, which accepts an explicit
 partition list and a shared thread pool so the runtime controls
@@ -51,7 +51,7 @@ from ..core.autotune import (
     cached_reorder_tuning,
 )
 from ..core.fused import autotune_backend, resolve_backend, run_kernel
-from ..core.optimized import DEFAULT_BLOCK_SIZE, auto_strategy
+from ..core.optimized import DEFAULT_BLOCK_SIZE
 from ..core.partition import RowPartition, part1d
 from ..core.patterns import OpPattern, ResolvedPattern
 from ..sparse import CSRMatrix, as_csr
@@ -68,14 +68,7 @@ from ..sparse.reorder import (
 )
 from .fingerprint import matrix_fingerprint
 
-__all__ = [
-    "KernelPlan",
-    "PlanKey",
-    "pattern_key",
-    "build_plan",
-    "make_config",
-    "effective_strategy",
-]
+__all__ = ["KernelPlan", "PlanKey", "pattern_key", "build_plan", "make_config"]
 
 
 def pattern_key(resolved: ResolvedPattern) -> Tuple[Tuple[str, str], ...]:
@@ -92,7 +85,6 @@ class PlanKey:
     backend: str
     num_threads: int
     block_size: int  # 0 = backend default / autotuned
-    strategy: str
     autotune: bool
     #: vertex-reordering strategy of the locality tier ("none" = natural
     #: order, bitwise-exact legacy path)
@@ -106,12 +98,11 @@ class KernelPlan:
     key: PlanKey
     op_pattern: OpPattern
     resolved: ResolvedPattern
-    #: "compiled" | "jit" | "specialized" | "optimized" | "generic"
+    #: "compiled" | "jit" | "optimized" | "generic"
     kind: str
     #: requested backend ("auto" keeps the generic fallback of fusedmm())
     backend: str
     block_size: int
-    strategy: str
     num_threads: int
     nnz: int
     shape: Tuple[int, int]
@@ -121,7 +112,7 @@ class KernelPlan:
     #: number of split tasks the runtime schedules for this job
     nsplit: int = 1
     tuning: Optional[TuningResult] = None
-    #: concrete kernel callable for compiled/jit/specialized kinds
+    #: concrete kernel callable for the compiled/jit kinds
     kernel: Optional[Callable] = None
     #: resolved locality strategy ("none" keeps the legacy bitwise path)
     reorder: str = "none"
@@ -211,7 +202,6 @@ class KernelPlan:
         pool: Optional[ThreadPoolExecutor] = None,
         num_threads: Optional[int] = None,
         block_size: Optional[int] = None,
-        strategy: Optional[str] = None,
         out: Optional[np.ndarray] = None,
         row_offset: int = 0,
     ) -> np.ndarray:
@@ -231,11 +221,11 @@ class KernelPlan:
         range of the shared output segment, so no worker ever allocates a
         full ``(nrows, d)`` result.  On the reordered path the permuted
         result is scattered back into the requested window, so callers see
-        original vertex order either way.  ``parts``/``block_size``/
-        ``strategy`` overrides only apply to the direct path: a reordered
-        plan's blocking *is* its pre-compacted panels, so the overrides
-        are ignored when the bound matrix routes through the locality
-        tier (execute on a ``reorder="none"`` plan to A/B blocking
+        original vertex order either way.  ``parts``/``block_size``
+        overrides only apply to the direct path: a reordered plan's
+        blocking *is* its pre-compacted panels, so the overrides are
+        ignored when the bound matrix routes through the locality tier
+        (execute on a ``reorder="none"`` plan to A/B blocking
         parameters).
         """
         with self._calls_lock:
@@ -261,7 +251,6 @@ class KernelPlan:
             pool=pool,
             num_threads=num_threads,
             block_size=block_size,
-            strategy=strategy,
             out=out,
             row_offset=row_offset,
         )
@@ -336,7 +325,6 @@ class KernelPlan:
         pool: Optional[ThreadPoolExecutor] = None,
         num_threads: Optional[int] = None,
         block_size: Optional[int] = None,
-        strategy: Optional[str] = None,
         out: Optional[np.ndarray] = None,
         row_offset: int = 0,
     ) -> np.ndarray:
@@ -355,7 +343,6 @@ class KernelPlan:
             Y,
             backend=self.backend,
             block_size=self.block_size if block_size is None else block_size,
-            strategy=self.strategy if strategy is None else strategy,
             num_threads=self.num_threads if num_threads is None else num_threads,
             parts=parts,
             pool=pool,
@@ -371,7 +358,6 @@ class KernelPlan:
             "ops": self.resolved.op_names(),
             "backend": self.backend,
             "kind": self.kind,
-            "strategy": self.strategy,
             "block_size": self.block_size,
             "num_threads": self.num_threads,
             "nsplit": self.nsplit,
@@ -402,7 +388,6 @@ def make_config(
     backend: str = "auto",
     kind: Optional[str] = None,
     block_size: Optional[int] = None,
-    strategy: str = "auto",
     num_threads: int = 1,
 ) -> KernelPlan:
     """A matrix-independent dispatch config (a plan without a matrix).
@@ -423,7 +408,6 @@ def make_config(
         backend=backend,
         num_threads=num_threads,
         block_size=block_size or 0,
-        strategy=strategy,
         autotune=False,
     )
     return KernelPlan(
@@ -433,7 +417,6 @@ def make_config(
         kind=kind,
         backend=backend,
         block_size=block_size or DEFAULT_BLOCK_SIZE,
-        strategy=strategy,
         num_threads=num_threads,
         nnz=0,
         shape=(0, 0),
@@ -441,13 +424,6 @@ def make_config(
         nsplit=1,
         kernel=kernel,
     )
-
-
-def effective_strategy(plan: KernelPlan, A) -> str:
-    """The blocking strategy a standalone call on ``A`` would pick."""
-    if plan.kind == "optimized" and plan.strategy == "auto":
-        return auto_strategy(A)
-    return plan.strategy
 
 
 def build_plan(
@@ -469,18 +445,13 @@ def build_plan(
     """
     kind, kernel = resolve_backend(resolved, key.backend)
     block_size = key.block_size or DEFAULT_BLOCK_SIZE
-    strategy = key.strategy
     tuning: Optional[TuningResult] = None
     if key.autotune and kind != "generic":
-        kind, kernel, strategy, tuning = autotune_backend(
+        kind, kernel, tuning = autotune_backend(
             A, op_pattern, key.backend, num_threads=key.num_threads, dim=autotune_dim
         )
         if key.block_size == 0:
             block_size = tuning.block_size
-    if kind == "optimized" and strategy == "auto":
-        # Resolve the data-dependent choice once so packed/split executions
-        # replay the exact same kernel as a standalone call would.
-        strategy = auto_strategy(A)
 
     nsplit = max(1, min(max_split, math.ceil(A.nnz / max(split_nnz, 1))))
     partitions = part1d(A, nsplit)
@@ -492,7 +463,6 @@ def build_plan(
         kind=kind,
         backend=key.backend,
         block_size=block_size,
-        strategy=strategy,
         num_threads=key.num_threads,
         nnz=A.nnz,
         shape=A.shape,
@@ -584,7 +554,6 @@ def _apply_reorder(
         key.fingerprint,
         key.pattern,
         plan.kind,
-        plan.strategy,
         plan.block_size,
         autotune_dim,
     )

@@ -555,7 +555,6 @@ class WorkerAgent:
             parts=parts,
             num_threads=self.threads,
             block_size=spec["block_size"],
-            strategy=spec["strategy"],
             out=Z_block,
             row_offset=w0,
         )
@@ -1277,7 +1276,6 @@ class RemoteController:
                 parts=parts,
                 num_threads=1,
                 block_size=spec["block_size"],
-                strategy=spec["strategy"],
                 out=block,
                 row_offset=w0,
             )

@@ -60,14 +60,7 @@ from .batch import KernelRequest, pack_group_key, pack_requests
 from .cache import CacheStats, PlanCache
 from .codec import build_worker_config, remote_spec_meta
 from .fingerprint import derived_fingerprint, matrix_fingerprint
-from .plan import (
-    KernelPlan,
-    PlanKey,
-    build_plan,
-    effective_strategy,
-    make_config,
-    pattern_key,
-)
+from .plan import KernelPlan, PlanKey, build_plan, make_config, pattern_key
 from .remote import RemoteController
 from .shard import ShardPlan, assign_shards, route_shards
 from .workers import WorkerPool, plan_spec_from_plan
@@ -456,7 +449,6 @@ class KernelRuntime:
         pattern: Union[OpPattern, str] = "sigmoid_embedding",
         backend: str = "auto",
         block_size: Optional[int] = None,
-        strategy: str = "auto",
         autotune: Optional[bool] = None,
         reorder: Optional[str] = None,
         **pattern_overrides,
@@ -477,7 +469,6 @@ class KernelRuntime:
             backend=backend,
             num_threads=self.num_threads,
             block_size=block_size or 0,
-            strategy=strategy,
             autotune=self.autotune if autotune is None else bool(autotune),
             reorder=self.reorder if reorder is None else reorder,
         )
@@ -743,7 +734,6 @@ class KernelRuntime:
                 parts=parts,
                 num_threads=1,
                 block_size=spec["block_size"],
-                strategy=spec["strategy"],
                 out=Z[w0:w1],
                 row_offset=w0,
             )
@@ -918,10 +908,9 @@ class KernelRuntime:
                 op_pattern.resolved(),
                 backend=req.backend,
                 block_size=req.block_size,
-                strategy=req.strategy,
                 num_threads=self.num_threads,
             )
-        key = (req.pattern, req.backend, req.block_size or 0, req.strategy)
+        key = (req.pattern, req.backend, req.block_size or 0)
         with self._configs_lock:
             cfg = self._configs.get(key)
         if cfg is not None:
@@ -932,7 +921,6 @@ class KernelRuntime:
             op_pattern.resolved(),
             backend=req.backend,
             block_size=req.block_size,
-            strategy=req.strategy,
             num_threads=self.num_threads,
         )
         with self._configs_lock:
@@ -983,7 +971,6 @@ class KernelRuntime:
                     pattern=req.pattern,
                     backend=req.backend,
                     block_size=req.block_size,
-                    strategy=req.strategy,
                     reorder="none",
                     **dict(req.overrides),
                 )
@@ -1052,7 +1039,6 @@ class KernelRuntime:
                 pool=group_pool,
                 num_threads=len(parts) if group_pool is not None else 1,
                 block_size=bs,
-                strategy=effective_strategy(plan, reqs[members[0]].A),
             )
             return packed.split_result(Z)
 
@@ -1147,8 +1133,8 @@ class KernelRuntime:
 
         For each plan keyed on ``old_fingerprint`` a successor keyed on
         the new fingerprint is built through
-        :func:`repro.runtime.dynamic.refresh_plan` — backend resolution,
-        autotune results and strategy carry over; partitions, and for
+        :func:`repro.runtime.dynamic.refresh_plan` — backend resolution
+        and autotune results carry over; partitions, and for
         reordered plans the spliced permuted matrix plus the dirty panels,
         are recomputed.  The old version's plans are evicted afterwards
         (nothing will ask for them again).  Returns the invalidation

@@ -9,7 +9,7 @@ and the shared-memory segments they read.  The design goals, in order:
   subsequent ``run``/``submit`` on the same matrix sends only segment
   names and row ranges — the adjacency is never re-pickled.
 * **Plan once per worker.**  Workers cache their resolved dispatch configs
-  keyed by (pattern, backend, block size, strategy), so repeated calls skip
+  keyed by (pattern, backend, kind, block size), so repeated calls skip
   pattern resolution and backend dispatch exactly as the parent's plan
   cache does.
 * **Fail loudly, never hang.**  The parent polls worker liveness while
@@ -247,7 +247,6 @@ def _worker_main(conn) -> None:  # pragma: no cover - runs in child processes
                         parts=parts,
                         num_threads=1,
                         block_size=spec["block_size"],
-                        strategy=spec["strategy"],
                         out=Z_out[w0:w1],
                         row_offset=w0,
                     )

@@ -351,8 +351,9 @@ class CSRMatrix:
     # ------------------------------------------------------------------ #
     def spmm(self, dense: np.ndarray) -> np.ndarray:
         """Reference sparse × dense product ``self @ dense`` computed row
-        by row.  The optimized SpMM lives in :mod:`repro.core.specialized`;
-        this method exists as an always-correct reference."""
+        by row.  The fast SpMM is the ``spmm`` pattern of
+        :func:`repro.core.fusedmm`; this method exists as an always-correct
+        reference."""
         dense = np.asarray(dense)
         if dense.ndim != 2 or dense.shape[0] != self.ncols:
             raise ShapeError(

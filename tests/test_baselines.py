@@ -17,7 +17,7 @@ from repro.baselines import (
     unfused_memory_bytes,
     vendor_spmm,
 )
-from repro.core import fusedmm, get_pattern, spmm_kernel
+from repro.core import fusedmm, get_pattern
 from repro.errors import BackendError
 from repro.sparse import random_csr
 from _helpers import make_xy
@@ -91,7 +91,7 @@ def test_gspmm_with_precomputed_edge_weights(problem):
     A, X, Y = problem
     H = SDDMMResult(A=A, messages=A.data.copy())
     Z = gspmm(H, Y, pattern=get_pattern(None, vop="NOOP", mop="MUL", aop="ASUM"))
-    assert np.allclose(Z, spmm_kernel(A, Y), atol=1e-4)
+    assert np.allclose(Z, fusedmm(A, None, Y, pattern="spmm"), atol=1e-4)
 
 
 # ------------------------------------------------------------------ #
@@ -175,7 +175,8 @@ def test_vendor_spmm_matches_fused_spmm(problem):
     if not scipy_available():
         pytest.skip("SciPy unavailable")
     A, X, Y = problem
-    assert np.allclose(vendor_spmm(A, Y), spmm_kernel(A, Y), atol=1e-4)
+    fused = fusedmm(A, None, Y, pattern="spmm")
+    assert np.allclose(vendor_spmm(A, Y), fused, atol=1e-4)
 
 
 def test_inspector_executor(problem):

@@ -164,10 +164,10 @@ def test_autotune_returns_valid_config(small_square_csr):
     clear_tuning_cache()
     X, Y = make_xy(small_square_csr, 8, seed=0)
     result = autotune(small_square_csr, X, Y, pattern="sigmoid_embedding", repeats=1)
-    assert result.strategy in ("row", "edge")
-    assert result.block_size > 0
+    assert result.strategy == "edge"
+    assert result.block_size in DEFAULT_BLOCK_CANDIDATES
     assert result.best_time > 0
-    assert len(result.trials) >= 1 + len(DEFAULT_BLOCK_CANDIDATES)
+    assert set(result.trials) == {("edge", b) for b in DEFAULT_BLOCK_CANDIDATES}
 
 
 def test_autotune_caches_results(small_square_csr):
@@ -198,8 +198,16 @@ def test_autotune_single_strategy(small_square_csr):
 
 def test_autotune_unknown_strategy(small_square_csr):
     X, Y = make_xy(small_square_csr, 8, seed=0)
-    with pytest.raises(ValueError):
-        autotune(small_square_csr, X, Y, strategies=("magic",), repeats=1, use_cache=False)
+    for strategy in ("magic", "row"):  # the row-blocked kernel is gone
+        with pytest.raises(ValueError):
+            autotune(
+                small_square_csr,
+                X,
+                Y,
+                strategies=(strategy,),
+                repeats=1,
+                use_cache=False,
+            )
 
 
 def test_autotune_result_as_dict(small_square_csr):

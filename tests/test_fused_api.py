@@ -25,7 +25,6 @@ def test_all_backends_listed():
         "jit",
         "generic",
         "optimized",
-        "specialized",
     }
 
 
@@ -41,12 +40,6 @@ def test_unknown_backend_rejected(problem):
     A, X, Y = problem
     with pytest.raises(BackendError):
         fusedmm(A, X, Y, backend="cuda")
-
-
-def test_specialized_backend_requires_known_pattern(problem):
-    A, X, Y = problem
-    with pytest.raises(BackendError):
-        fusedmm(A, X, Y, pattern="sddmm_dot", backend="specialized")
 
 
 def test_generated_backend_requires_templates(problem):
@@ -90,22 +83,13 @@ def test_accepts_scipy_and_dense_inputs(problem):
     from repro.runtime import KernelRuntime
 
     with KernelRuntime(num_threads=1) as rt:
-        backends = ("auto", "jit", "specialized") + ("compiled",) * compiled_available()
+        backends = ("auto", "jit", "optimized") + ("compiled",) * compiled_available()
         for backend in backends:
             for pattern in ("gcn", "spmm"):
                 opts = dict(pattern=pattern, backend=backend)
                 ref = fusedmm(A, Y, Y, **opts)
                 assert np.array_equal(fusedmm(A, None, Y, **opts), ref), opts
                 assert np.array_equal(rt.run(A, None, Y, **opts), ref), opts
-
-
-def test_strategy_argument(problem):
-    A, X, Y = problem
-    Z_row = fusedmm(A, X, Y, pattern="gcn", backend="optimized", strategy="row")
-    Z_edge = fusedmm(A, X, Y, pattern="gcn", backend="optimized", strategy="edge")
-    assert np.allclose(Z_row, Z_edge, atol=1e-4)
-    with pytest.raises(ValueError):
-        fusedmm(A, X, Y, backend="optimized", strategy="diagonal")
 
 
 # ------------------------------------------------------------------ #
@@ -140,13 +124,14 @@ def test_fusedmm_class_autotune(problem):
     kernel = FusedMM(A, pattern="sigmoid_embedding", autotune=True, autotune_dim=8)
     info = kernel.describe()
     assert "tuning" in info
-    # A NumPy winner keeps its blocking strategy; a compiled tier that wins
-    # the sweep is pinned and has none.
+    # A NumPy winner runs the NumPy kernel at the swept block size; a
+    # compiled tier that wins the sweep is pinned.
     won = kernel.plan.tuning.strategy
-    if won in ("row", "edge"):
-        assert kernel.plan.strategy == won
+    if won == "edge":
+        assert kernel.plan.kind == "optimized"
+        assert kernel.plan.block_size == kernel.plan.tuning.block_size
     else:
-        assert (kernel.plan.kind, kernel.plan.strategy) == (won, "auto")
+        assert (kernel.plan.kind, kernel.plan.backend) == (won, won)
     Z = kernel(X, Y)
     assert np.allclose(Z, fusedmm(A, X, Y, pattern="sigmoid_embedding"), atol=1e-4)
 

@@ -33,17 +33,15 @@ def test_sigmoid_scalar_matches_array_form():
 
 
 def test_sigmoid_is_the_single_definition_used_by_the_backends():
-    """The registry SIGMOID and the specialized kernel resolve to the one
-    shared implementation, and the C generator emits its clamp from the
-    same constant — the clamp bounds cannot drift between backends."""
-    import repro.core.specialized as specialized
+    """The registry SIGMOID resolves to the one shared implementation, and
+    the C generator emits its clamp from the same constant — the clamp
+    bounds cannot drift between backends."""
     from repro.core.compiled import generate_kernel_source
     from repro.core.operators import get_op
     from repro.core.patterns import get_pattern
 
     x = np.array([-70.0, -1.0, 0.0, 1.0, 70.0])
     assert np.allclose(get_op("SIGMOID").batch_fn(x), sigmoid(x))
-    assert specialized._sigmoid is sigmoid
     source = generate_kernel_source(get_pattern("sigmoid_embedding").resolved())
     assert f"#define FMM_SIGMOID_CLAMP {float(SIGMOID_CLAMP)!r}" in source
     assert "fmm_sigmoid(" in source

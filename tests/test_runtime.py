@@ -206,13 +206,13 @@ def test_autotuned_plan_cached_once(small_problem):
     p2 = rt.plan(A)
     assert p1 is p2
     assert p1.tuning is not None
-    # A NumPy winner keeps its blocking strategy; a compiled tier that wins
-    # the sweep is pinned and has none.
+    # A NumPy winner runs the NumPy kernel at the swept block size; a
+    # compiled tier that wins the sweep is pinned.
     won = p1.tuning.strategy
-    if won in ("row", "edge"):
-        assert p1.strategy == won
+    if won == "edge":
+        assert (p1.kind, p1.block_size) == ("optimized", p1.tuning.block_size)
     else:
-        assert (p1.kind, p1.strategy) == (won, "auto")
+        assert p1.kind == won
 
 
 # ---------------------------------------------------------------------- #

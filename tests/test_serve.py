@@ -19,7 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.fused import fusedmm
-from repro.errors import DeadlineError, DrainingError, QueueFullError, ShapeError
+from repro.errors import (
+    DeadlineError,
+    DrainingError,
+    QueueFullError,
+    ReproError,
+    ShapeError,
+)
 from repro.graphs import random_features
 from repro.runtime import KernelRequest, KernelRuntime
 from repro.runtime.aio import run_batch_async, submit_sharded_async, wrap_runtime_future
@@ -310,6 +316,37 @@ class TestCoalescerIdentity:
         Z = asyncio.run(_go())
         runtime.close()
         np.testing.assert_array_equal(Z, fusedmm(A, X, Y, pattern="sigmoid_embedding"))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"backend": "banana"},
+            {"backend": "specialized"},  # removed backend older clients may send
+            {"pattern": "no_such_pattern"},
+        ],
+    )
+    def test_bad_names_fail_alone_in_a_shared_window(self, bad):
+        """A well-formed request and one with an unknown backend or pattern
+        submitted into the same window: only the bad one fails."""
+        runtime = KernelRuntime(num_threads=1)
+        A, X, Y = _mk_problem(30, 4, 0)
+
+        async def _go():
+            coalescer = Coalescer(runtime, max_batch=2, max_wait_ms=50.0)
+            try:
+                return await asyncio.gather(
+                    coalescer.submit(KernelRequest(A=A, X=X, Y=Y)),
+                    coalescer.submit(KernelRequest(A=A, X=X, Y=Y, **bad)),
+                    return_exceptions=True,
+                )
+            finally:
+                coalescer.close()
+
+        good, err = asyncio.run(_go())
+        runtime.close()
+        assert isinstance(err, ReproError) and isinstance(err, ValueError)
+        expected = fusedmm(A, X, Y, pattern="sigmoid_embedding")
+        np.testing.assert_array_equal(good, expected)
 
 
 # ---------------------------------------------------------------------- #

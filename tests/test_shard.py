@@ -160,7 +160,7 @@ def test_run_sharded_rectangular(medium_problem):
 @needs_cc
 def test_workers_run_the_parents_demoted_kind(medium_problem, monkeypatch):
     """A plan whose sweep demoted auto's compiled tier ships that decision:
-    workers run the same specialized kernel instead of re-resolving auto
+    workers run the same NumPy kernel instead of re-resolving auto
     (which would pick compiled here), so the sharded result is bitwise the
     in-process one."""
     import repro.core.fused as fused_mod
@@ -168,14 +168,14 @@ def test_workers_run_the_parents_demoted_kind(medium_problem, monkeypatch):
     from repro.runtime.codec import plan_spec_from_plan
 
     def numpy_wins(*args, **kwargs):
-        return TuningResult(strategy="row", block_size=8192, best_time=0.0)
+        return TuningResult(strategy="edge", block_size=8192, best_time=0.0)
 
     monkeypatch.setattr(fused_mod, "autotune", numpy_wins)
     A, X = medium_problem
     with KernelRuntime(num_threads=1, processes=2, autotune=True) as rt:
         plan = rt.plan(A)
-        assert plan.kind == "specialized"
-        assert plan_spec_from_plan(plan)["kind"] == "specialized"
+        assert plan.kind == "optimized"
+        assert plan_spec_from_plan(plan)["kind"] == "optimized"
         ref = plan.execute(A, X, X)
         assert not np.array_equal(fusedmm(A, X, X), ref)  # auto -> compiled
         assert np.array_equal(rt.run_sharded(A, X), ref)
@@ -194,7 +194,6 @@ def test_worker_refuses_a_kind_it_cannot_run(monkeypatch):
         "backend": "auto",
         "kind": "compiled",
         "block_size": None,
-        "strategy": "auto",
     }
     monkeypatch.setenv("CC", "/nonexistent/cc")
     clear_kernel_cache()

@@ -1,5 +1,5 @@
-"""Unit tests for the specialized kernels and the optimized-kernel details
-(strategy selection, blocking internals)."""
+"""Unit tests for the NumPy ``optimized`` kernel: the Table III patterns
+against their closed forms, and the edge-blocking internals."""
 
 import numpy as np
 import pytest
@@ -7,17 +7,9 @@ import pytest
 from repro.core.optimized import (
     DEFAULT_BLOCK_SIZE,
     _edge_block_ranges,
-    fusedmm_edgeblocked,
     fusedmm_optimized,
 )
-from repro.core.patterns import get_pattern
-from repro.core.specialized import (
-    fr_layout_kernel,
-    gcn_kernel,
-    get_specialized_kernel,
-    sigmoid_embedding_kernel,
-    spmm_kernel,
-)
+from repro.errors import ShapeError
 from repro.sparse import random_bipartite, random_csr
 from _helpers import make_xy
 
@@ -30,11 +22,11 @@ def square():
 
 
 # ------------------------------------------------------------------ #
-# Specialized kernels
+# Table III patterns against their closed forms
 # ------------------------------------------------------------------ #
 def test_sigmoid_embedding_kernel_matches_formula(square):
     A, X, Y = square
-    Z = sigmoid_embedding_kernel(A, X, Y)
+    Z = fusedmm_optimized(A, X, Y, pattern="sigmoid_embedding")
     dense = A.to_dense() != 0
     scores = X @ Y.T
     expected = ((1.0 / (1.0 + np.exp(-scores))) * dense) @ Y
@@ -43,23 +35,27 @@ def test_sigmoid_embedding_kernel_matches_formula(square):
 
 def test_spmm_kernel_matches_matmul(square):
     A, X, Y = square
-    assert np.allclose(spmm_kernel(A, Y), A.to_dense() @ Y, atol=1e-3)
+    Z = fusedmm_optimized(A, None, Y, pattern="spmm")
+    assert np.allclose(Z, A.to_dense() @ Y, atol=1e-3)
 
 
 def test_spmm_kernel_rejects_bad_shape(square):
     A, _, Y = square
-    with pytest.raises(ValueError):
-        spmm_kernel(A, Y[:-1])
+    with pytest.raises(ShapeError):
+        fusedmm_optimized(A, None, Y[:-1], pattern="spmm")
 
 
 def test_gcn_kernel_equals_spmm(square):
+    """gcn ignores X: with or without it, the result is the SpMM, bitwise."""
     A, X, Y = square
-    assert np.allclose(gcn_kernel(A, X, Y), spmm_kernel(A, Y), atol=1e-5)
+    spmm = fusedmm_optimized(A, None, Y, pattern="spmm")
+    assert np.array_equal(fusedmm_optimized(A, X, Y, pattern="gcn"), spmm)
+    assert np.array_equal(fusedmm_optimized(A, None, Y, pattern="gcn"), spmm)
 
 
 def test_fr_layout_kernel_formula(square):
     A, X, Y = square
-    Z = fr_layout_kernel(A, X, Y)
+    Z = fusedmm_optimized(A, X, Y, pattern="fr_layout")
     # Check one nonzero row against the direct formula.
     u = int(np.argmax(A.row_degrees()))
     cols, _ = A.row(u)
@@ -69,28 +65,21 @@ def test_fr_layout_kernel_formula(square):
     assert np.allclose(Z[u], expected, atol=1e-3)
 
 
-def test_get_specialized_kernel_mapping():
-    assert get_specialized_kernel(get_pattern("sigmoid_embedding").resolved()) is sigmoid_embedding_kernel
-    assert get_specialized_kernel(get_pattern("fr_layout").resolved()) is fr_layout_kernel
-    assert get_specialized_kernel(get_pattern("gcn").resolved()) is gcn_kernel
-    assert get_specialized_kernel(get_pattern("sddmm_dot").resolved()) is None
-
-
-def test_specialized_kernels_on_rectangular_slice():
+def test_optimized_kernel_on_rectangular_slice():
     A = random_bipartite(25, 70, avg_degree=5, seed=3)
     X, Y = make_xy(A, 12, seed=4)
-    assert sigmoid_embedding_kernel(A, X, Y).shape == (25, 12)
-    assert spmm_kernel(A, Y).shape == (25, 12)
-    assert fr_layout_kernel(A, X, Y).shape == (25, 12)
+    for pattern in ("sigmoid_embedding", "fr_layout", "gcn"):
+        assert fusedmm_optimized(A, X, Y, pattern=pattern).shape == (25, 12)
+    assert fusedmm_optimized(A, None, Y, pattern="spmm").shape == (25, 12)
 
 
-def test_specialized_kernels_thread_invariance(square):
+def test_optimized_kernel_thread_invariance(square):
     A, X, Y = square
-    assert np.allclose(
-        sigmoid_embedding_kernel(A, X, Y, num_threads=1),
-        sigmoid_embedding_kernel(A, X, Y, num_threads=3),
-        atol=1e-6,
-    )
+    for pattern in ("sigmoid_embedding", "fr_layout", "gcn"):
+        assert np.array_equal(
+            fusedmm_optimized(A, X, Y, pattern=pattern, num_threads=1),
+            fusedmm_optimized(A, X, Y, pattern=pattern, num_threads=3),
+        )
 
 
 # ------------------------------------------------------------------ #
@@ -108,27 +97,7 @@ def test_edge_block_ranges_cover_exactly():
 def test_edgeblocked_rejects_bad_block_size(square):
     A, X, Y = square
     with pytest.raises(ValueError):
-        fusedmm_edgeblocked(A, X, Y, block_size=0)
-
-
-def test_optimized_strategy_auto_selection():
-    dense_graph = random_csr(40, 40, density=0.9, seed=1)  # avg degree >> 32
-    sparse_graph = random_csr(200, 200, density=0.01, seed=2)
-    Xd, Yd = make_xy(dense_graph, 8, seed=0)
-    Xs, Ys = make_xy(sparse_graph, 8, seed=0)
-    # Whatever strategy auto picks, the result must match the explicit ones.
-    za = fusedmm_optimized(dense_graph, Xd, Yd, pattern="gcn", strategy="auto")
-    zr = fusedmm_optimized(dense_graph, Xd, Yd, pattern="gcn", strategy="row")
-    assert np.allclose(za, zr, atol=1e-4)
-    za2 = fusedmm_optimized(sparse_graph, Xs, Ys, pattern="gcn", strategy="auto")
-    ze2 = fusedmm_optimized(sparse_graph, Xs, Ys, pattern="gcn", strategy="edge")
-    assert np.allclose(za2, ze2, atol=1e-4)
-
-
-def test_optimized_unknown_strategy(square):
-    A, X, Y = square
-    with pytest.raises(ValueError):
-        fusedmm_optimized(A, X, Y, strategy="banana")
+        fusedmm_optimized(A, X, Y, block_size=0)
 
 
 def test_default_block_size_reasonable():
